@@ -9,9 +9,9 @@ TBS/LBC's advantage survives under hardware-style replacement, and how much
 slack does LRU need (the classic resource-augmentation question)?
 
 The default :func:`lru_replay` compiles the schedule to the array IR
-(:mod:`repro.trace`) and runs the chunked array-based replay — one to two
-orders of magnitude faster than walking Python tuples, which is what opens
-up N in the thousands (benchmark E13).  The original tuple/OrderedDict
+(:mod:`repro.trace`) and counts misses from cached reuse distances — one
+to two orders of magnitude faster than walking Python tuples, which is
+what opens up N in the thousands (benchmark E13).  The original tuple/OrderedDict
 walker survives as :func:`lru_replay_reference`; the test suite asserts
 both return bit-identical counts.
 

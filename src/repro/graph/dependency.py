@@ -37,7 +37,6 @@ Edge kinds:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -259,24 +258,6 @@ class DependencyGraph:
                 depth[v] = max(depth[v], depth[u] + 1)
         return depth
 
-    def critical_path_length(self) -> int:
-        """Deprecated: longest chain length in *nodes* (the unweighted span).
-
-        This counts ops, not work: comparing it against compute volumes
-        (mults) is a unit error — the footgun the docs have warned about
-        since the makespan model landed.  Use :meth:`critical_path_cost`
-        instead: no argument for the same op count, per-op mults for a
-        span in the unit of the fleet metrics.
-        """
-        warnings.warn(
-            "critical_path_length() counts ops, not work; use "
-            "critical_path_cost() (unit weights, same value) or "
-            "critical_path_cost(mults) (work-weighted span)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return int(self.critical_path_cost())
-
     def critical_path_cost(self, weights: "Sequence[float] | None" = None) -> float:
         """Longest weighted chain — the span in the unit of ``weights``.
 
@@ -284,8 +265,7 @@ class DependencyGraph:
         mults); the returned value is the maximum over all dependence
         chains of the summed weights, i.e. the runtime floor of any
         schedule on unboundedly many nodes with free communication.
-        ``weights=None`` means unit weights: the chain length in ops, the
-        value the deprecated :meth:`critical_path_length` reported.
+        ``weights=None`` means unit weights: the chain length in ops.
         """
         if weights is None:
             weights = [1.0] * len(self.nodes)

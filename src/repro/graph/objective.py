@@ -185,4 +185,4 @@ def order_cost(
     reordered = trace.reorder(order)
     if policy == "belady":
         return belady_replay_trace(reordered, capacity).loads
-    return lru_replay_trace(reordered, capacity, method="simulate").loads
+    return lru_replay_trace(reordered, capacity).loads

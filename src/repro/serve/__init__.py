@@ -8,9 +8,9 @@ is three tiers of memoization —
   SHA-256 content address) and :class:`ScheduleStore` (atomic ``.npz``
   objects + advisory manifest, corruption-tolerant reads);
 * :mod:`repro.serve.cache` — :class:`ScheduleCache`, a bounded in-process
-  map running our *own* replacement policies (LRU, and a Belady oracle
-  replayable from a recorded request log — dogfooding the paper's
-  LRU-vs-OPT analysis on our serving tier);
+  LRU map whose access log replays through the trace engines
+  (:func:`log_to_trace`) — dogfooding the paper's LRU-vs-OPT analysis on
+  our serving tier;
 * :mod:`repro.serve.frontend` — :class:`ScheduleService`, the asyncio
   front end that coalesces duplicate in-flight keys (single-flight),
   serves memory hits at memory speed, falls through to disk, and queues
@@ -20,15 +20,14 @@ is three tiers of memoization —
 
 Benchmark E19 (``benchmarks/bench_e19_serve.py``) measures the tiers:
 warm-hit vs cold-search latency, hit rate vs cache size under a zipf
-request stream, and the LRU-vs-oracle eviction gap on one log.
+request stream, and the LRU-vs-Belady eviction gap on one log.
 """
 
-from .cache import EVICTION_POLICIES, ScheduleCache, log_to_trace
+from .cache import ScheduleCache, log_to_trace
 from .frontend import SEARCHERS, ScheduleService, run_searcher, warm_store
 from .store import ScheduleKey, ScheduleStore
 
 __all__ = [
-    "EVICTION_POLICIES",
     "SEARCHERS",
     "ScheduleCache",
     "ScheduleKey",

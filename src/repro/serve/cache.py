@@ -1,29 +1,22 @@
-"""In-process bounded cache of hot schedules — dogfooding our own policies.
+"""In-process bounded LRU cache of hot schedules — dogfooding our own engines.
 
 This repository *ships* cache-replacement engines (the array LRU/Belady
 replays of :mod:`repro.trace.replay`); the serving layer's memory tier
 runs on the same semantics.  :class:`ScheduleCache` is a bounded
-digest → schedule map with pluggable eviction:
-
-``lru``
-    evict the least-recently-accessed entry — exactly the recency rule
-    of :func:`repro.trace.replay.lru_replay_trace`, pinned by the
-    regression suite: a cache driven by any access log produces the
-    same miss count at every capacity as the array LRU engine replaying
-    that log as a one-element-per-op trace (:func:`log_to_trace`).
-``oracle``
-    Belady/MIN with the future handed over: constructed from a recorded
-    request log, the cache replays *that* log and evicts the resident
-    entry whose next use lies furthest in the future (never reused
-    first).  Not a serving policy — an offline yardstick: replaying the
-    same log under both modes measures how much hit rate LRU leaves on
-    the table (benchmark E19), the paper's LRU-vs-OPT comparison turned
-    on ourselves.
+digest → schedule map that evicts the least-recently-accessed entry —
+exactly the recency rule of :func:`repro.trace.replay.lru_replay_trace`,
+pinned by the regression suite: a cache driven by any access log
+produces the same miss count at every capacity as the array LRU engine
+replaying that log as a one-element-per-op trace (:func:`log_to_trace`).
 
 Every access is appended to :attr:`ScheduleCache.log`, so any live
-cache's history can be re-fed to the trace engines or to an oracle
-replay after the fact.  The bound is a hard invariant: ``len(cache) <=
-capacity`` always, checked by the property suite.
+cache's history can be re-fed to the trace engines after the fact.  The
+offline yardstick is one call away: the Belady/MIN miss count of the
+same log at capacity ``c`` is
+``belady_replay_trace(log_to_trace(log), c).loads`` — how much hit rate
+LRU leaves on the table (benchmark E19), the paper's LRU-vs-OPT
+comparison turned on ourselves.  The bound is a hard invariant:
+``len(cache) <= capacity`` always, checked by the property suite.
 """
 
 from __future__ import annotations
@@ -36,10 +29,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..obs.probe import get_probe
 from ..trace.compiled import CompiledTrace
-
-#: Eviction policies :class:`ScheduleCache` accepts.
-EVICTION_POLICIES = ("lru", "oracle")
-
 
 def log_to_trace(log: Sequence[str]) -> CompiledTrace:
     """An access log as a one-read-per-op compiled trace.
@@ -71,44 +60,17 @@ def log_to_trace(log: Sequence[str]) -> CompiledTrace:
 
 
 class ScheduleCache:
-    """A bounded digest → payload map with LRU or oracle eviction."""
+    """A bounded digest → payload map with LRU eviction."""
 
-    def __init__(
-        self,
-        capacity: int,
-        policy: str = "lru",
-        *,
-        future: Sequence[str] | None = None,
-    ):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
-        if policy not in EVICTION_POLICIES:
-            raise ConfigurationError(
-                f"unknown eviction policy {policy!r}; "
-                f"choose from {', '.join(EVICTION_POLICIES)}"
-            )
-        if (policy == "oracle") != (future is not None):
-            raise ConfigurationError(
-                "the oracle policy needs (exactly) the recorded future log"
-            )
         self.capacity = int(capacity)
-        self.policy = policy
         self.log: list[str] = []
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        if future is not None:
-            # Belady needs next-use positions: chain each occurrence of a
-            # digest to the next one, walking the recorded log backwards.
-            self._future = list(future)
-            self._cursor = 0
-            self._next_use: list[int] = [len(future)] * len(future)
-            last_seen: dict[str, int] = {}
-            for i in range(len(future) - 1, -1, -1):
-                self._next_use[i] = last_seen.get(future[i], len(future))
-                last_seen[future[i]] = i
-            self._resident_next: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -122,30 +84,15 @@ class ScheduleCache:
         return self.hits / total if total else 0.0
 
     # -- the access path ------------------------------------------------- #
-    def _advance(self, digest: str) -> None:
-        """Consume one position of the oracle's recorded log."""
-        if self._cursor >= len(self._future) or self._future[self._cursor] != digest:
-            raise ConfigurationError(
-                "oracle cache replays its recorded log: expected "
-                f"{self._future[self._cursor] if self._cursor < len(self._future) else '<end>'!r} "
-                f"at position {self._cursor}, got {digest!r}"
-            )
-        if digest in self._resident_next:
-            self._resident_next[digest] = self._next_use[self._cursor]
-        self._cursor += 1
-
     def get(self, digest: str) -> Any | None:
         """The cached payload, refreshing recency; ``None`` on a miss.
 
-        Every ``get`` is one access: it lands in :attr:`log` and, in
-        oracle mode, consumes one position of the recorded future.  A
-        miss does *not* insert — pair it with :meth:`put` (which, after
-        a ``get`` miss, completes the classic miss-then-load shape the
+        Every ``get`` is one access and lands in :attr:`log`.  A miss
+        does *not* insert — pair it with :meth:`put` (which, after a
+        ``get`` miss, completes the classic miss-then-load shape the
         trace engines count as a single load).
         """
         self.log.append(digest)
-        if self.policy == "oracle":
-            self._advance(digest)
         entry = self._entries.get(digest)
         if entry is None:
             self.misses += 1
@@ -158,54 +105,32 @@ class ScheduleCache:
         """Insert (or refresh) ``digest``, evicting down to the bound.
 
         ``put`` is the load completing a miss, not a second access: it
-        does not touch :attr:`log` or the oracle cursor, so a
-        ``get``/``put``-on-miss driver generates exactly one logged
-        access per request — the contract the replay cross-checks assume.
+        does not touch :attr:`log`, so a ``get``/``put``-on-miss driver
+        generates exactly one logged access per request — the contract
+        the replay cross-checks assume.
         """
         if digest in self._entries:
             self._entries[digest] = payload
             self._entries.move_to_end(digest)
             return
         while len(self._entries) >= self.capacity:
-            self._evict()
+            self._entries.popitem(last=False)
+            self.evictions += 1
+            probe = get_probe()
+            if probe.enabled:
+                probe.count("serve.evictions")
         self._entries[digest] = payload
-        if self.policy == "oracle":
-            # Next use of the *current* occurrence was recorded by the
-            # get() that preceded this put (cursor already advanced).
-            pos = self._cursor - 1
-            if pos < 0 or self._future[pos] != digest:
-                raise ConfigurationError(
-                    "oracle cache: put() must follow its own get() miss"
-                )
-            self._resident_next[digest] = self._next_use[pos]
-
-    def _evict(self) -> None:
-        if self.policy == "lru":
-            victim, _ = self._entries.popitem(last=False)
-        else:
-            victim = max(self._resident_next, key=lambda d: (self._resident_next[d], d))
-            del self._entries[victim]
-            del self._resident_next[victim]
-        self.evictions += 1
-        probe = get_probe()
-        if probe.enabled:
-            probe.count("serve.evictions")
 
     # -- offline replay -------------------------------------------------- #
     @classmethod
-    def replay(
-        cls, log: Sequence[str], capacity: int, policy: str = "lru"
-    ) -> "ScheduleCache":
+    def replay(cls, log: Sequence[str], capacity: int) -> "ScheduleCache":
         """Drive a fresh cache through ``log`` with the get/put-on-miss shape.
 
         The offline harness of benchmark E19: feed one recorded request
-        log to both policies at many capacities and read
-        ``hits``/``misses``/``evictions`` off the returned cache.  Oracle
-        mode gets the very log it replays as its future.
+        log at many capacities and read ``hits``/``misses``/``evictions``
+        off the returned cache.
         """
-        cache = cls(
-            capacity, policy, future=list(log) if policy == "oracle" else None
-        )
+        cache = cls(capacity)
         for digest in log:
             if cache.get(digest) is None:
                 cache.put(digest, digest)

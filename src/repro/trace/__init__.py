@@ -7,8 +7,10 @@ This package is the performance substrate of the analysis layers:
   IDs, write flags, op boundaries) plus vectorized next-use/previous-
   access links;
 * :mod:`repro.trace.replay` — array-based LRU and Belady/MIN cache
-  replays over the IR (chunked boundary scanning: vectorized hit runs,
-  per-access work only at misses);
+  replays over the IR, one engine per call shape: cached reuse distances
+  for every LRU replay, the chunked engine (vectorized hit runs,
+  per-access work only at misses) for one Belady capacity, and one
+  grouped OPT-stack pass for a Belady capacity sweep;
 * :mod:`repro.trace.io` — compact ``.npz`` + JSON-header on-disk formats
   for compiled traces and for full schedules (reconstructible compute
   ops), behind ``python -m repro trace``.

@@ -1,30 +1,34 @@
 """Array-based cache replays over a :class:`~repro.trace.compiled.CompiledTrace`.
 
-Both replays simulate exactly the policies of the reference walkers
-(:func:`repro.analysis.lru_replay.lru_replay_reference` and
-:func:`repro.graph.policies.belady_replay_reference`) but run on the
-compiled IR: element IDs are dense ints, residency/dirtiness live in flat
-numpy arrays, and — the key observation — *hits never change the cache
-contents*, only misses do.  The engine therefore scans ahead for the next
-miss with one vectorized residency gather per window (chunked boundary
-scanning), bulk-applies whole hit runs (dirty marking, recency/next-use
-stamps, one heap entry per element per run), and only drops to per-access
-Python for the misses themselves.  On reuse-friendly schedules this is one
-to two orders of magnitude faster than the tuple-per-touch walkers
-(benchmark E13); on thrashing schedules the scan window shrinks adaptively
-and the engine degrades to a plain int loop that still beats the
-tuple/dict paths.
+Every replay simulates exactly the policy of its reference walker
+(:func:`repro.analysis.lru_replay.lru_replay_reference`,
+:func:`repro.graph.policies.belady_replay_reference`) but runs on the
+compiled IR, where element IDs are dense ints.  The call shape picks the
+engine — one per question:
 
-Priorities are packed into single ints (``stamp << id_bits | elem``), with
-lazy invalidation against the live stamp arrays:
+* **LRU, any capacity or sweep** (:func:`lru_replay_trace`,
+  ``sweep_replay_trace(policy="lru")``): capacity-independent reuse
+  distances, computed once per trace and cached, leave an O(n) counting
+  pass per capacity (the inclusion property).
+* **Belady, one capacity** (:func:`belady_replay_trace`): the adaptive
+  chunked engine.  *Hits never change the cache contents*, only misses
+  do, so it scans ahead for the next miss with one vectorized residency
+  gather per window, bulk-applies whole hit runs (dirty marking,
+  next-use stamps, one sorted level per run), and drops to a per-access
+  Python loop only where misses are dense.
+* **Belady, a sweep** (``sweep_replay_trace(policy="belady")``): one
+  grouped OPT-stack pass over the canonical capacity grid, then the same
+  O(n) counting pass per capacity.
 
-* LRU evicts the valid entry with the smallest last-access position;
-* Belady/MIN evicts the valid entry with the largest next use.  Next-use
-  positions are unique, so distances can only tie at "never used again";
-  among those the packed dirty bit prefers clean victims — and because a
-  never-reused element's dirty status is final by its last access (dirty
-  only changes when an element is accessed), the bit packed at push time
-  provably equals the live status whenever the tie-break can fire.
+The chunked engine packs priorities into single ints
+(``(n - next_use) << shift | dirty << id_bits | elem``), with lazy
+invalidation against the live stamp array: it evicts the valid entry
+with the largest next use.  Next-use positions are unique, so distances
+can only tie at "never used again"; among those clean victims are
+preferred — and because a never-reused element's dirty status is final
+by its last access (dirty only changes when an element is accessed), the
+status recorded at push time provably equals the live status whenever
+the tie-break can fire.
 
 Store accounting matches the references: dirty evictions count as stores
 (``evict_stores``) and dirty elements still resident at the end are
@@ -79,26 +83,18 @@ class BeladyReplayResult(LruReplayResult):
 
 #: Hit-run length below which vectorized bulk handling is not worth the
 #: numpy call overhead, and above which the scalar mode hands back to the
-#: vectorized scanner.  Callers may override per replay via the
-#: ``scalar_run=`` keyword (``0`` forces the vector mode everywhere, a
-#: value above the trace length forces the scalar loop) — the two modes
-#: maintain identical state, so every threshold yields identical counts.
+#: vectorized scanner.  The two modes maintain identical state, so the
+#: threshold moves time, never counts.
 _SCALAR_RUN = 32
 
 
-def _replay(
-    trace: CompiledTrace,
-    capacity: int,
-    belady: bool,
-    *,
-    scalar_run: int = _SCALAR_RUN,
-) -> tuple[int, int, int]:
-    """Shared adaptive engine; returns (loads, evict_stores, flush_stores).
+def _belady_chunked(trace: CompiledTrace, capacity: int) -> tuple[int, int, int]:
+    """Chunked Belady engine; returns (loads, evict_stores, flush_stores).
 
     Two modes, switched by observed hit-run length:
 
     * **vector**: gather residency for a doubling window, bulk-apply the
-      whole hit run (dirty marking, one stamp/heap entry per element via
+      whole hit run (dirty marking, one stamp/level entry per element via
       reverse ``np.unique``), drop to per-access work only at the miss;
     * **scalar**: a tight Python-int loop over pre-extracted lists — the
       regime where misses are dense and per-window numpy overhead would
@@ -106,11 +102,9 @@ def _replay(
 
     Both modes maintain identical state, so switching is free: residency
     and dirtiness live in ``bytearray``s wrapped zero-copy by numpy views
-    (scalar reads are plain-Python fast, gathers are vectorized), stamps
-    (last-access position for LRU, current next-use for Belady) in an
-    int64 array, and the eviction heap holds packed ints
-    ``priority << id_bits | elem`` with lazy invalidation against the
-    stamp array.
+    (scalar reads are plain-Python fast, gathers are vectorized), current
+    next-use stamps in an int64 array, and the eviction heap holds packed
+    ints with lazy invalidation against the stamp array.
     """
     if capacity < 1:
         raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
@@ -120,18 +114,18 @@ def _replay(
 
     id_bits = max(1, n_elem - 1).bit_length()
     id_mask = (1 << id_bits) - 1
-    shift = id_bits + 1 if belady else id_bits
+    shift = id_bits + 1
     cached_b = bytearray(n_elem)
     dirty_b = bytearray(n_elem)
     cached = np.frombuffer(cached_b, dtype=np.uint8)  # zero-copy views
     dirty = np.frombuffer(dirty_b, dtype=np.uint8)
     stamp = np.full(n_elem, -1, dtype=np.int64)
     heap: list[int] = []
-    # Belady fast path: resident elements that are *never used again* are
-    # always the furthest-next-use victims, mutually tied, and their dirty
-    # status is final by their last access (dirty only changes when an
-    # element is accessed) — so they live in two plain stacks instead of
-    # the heap, clean ones preferred, no invalidation needed.
+    # Fast path: resident elements that are *never used again* are always
+    # the furthest-next-use victims, mutually tied, and their dirty status
+    # is final by their last access (dirty only changes when an element is
+    # accessed) — so they live in two plain stacks instead of the heap,
+    # clean ones preferred, no invalidation needed.
     never_clean: list[int] = []
     never_dirty: list[int] = []
     # Bulk-mode entries avoid per-entry heap pushes entirely: each hit run
@@ -180,13 +174,11 @@ def _replay(
     # indexing by ~5x in tight loops.
     ids_l = ids.tolist()
     writes_l = trace.is_write.tolist()
-    nxt = trace.next_use() if belady else None
-    nxt_l = None
-    if belady:
-        nxt_l = trace._replay_cache.get("next_use_list")
-        if nxt_l is None:
-            nxt_l = nxt.tolist()
-            trace._replay_cache["next_use_list"] = nxt_l
+    nxt = trace.next_use()
+    nxt_l = trace._replay_cache.get("next_use_list")
+    if nxt_l is None:
+        nxt_l = nxt.tolist()
+        trace._replay_cache["next_use_list"] = nxt_l
 
     def handle_miss(p: int, e: int) -> None:
         nonlocal loads, evict_stores, resident, evictions
@@ -209,8 +201,7 @@ def _replay(
             victim = entry & id_mask
             if not cached_b[victim]:
                 continue
-            sp = (n - (entry >> shift)) if belady else entry >> shift
-            if stamp[victim] != sp:
+            if stamp[victim] != n - (entry >> shift):
                 continue  # superseded by a later access of the same element
             cached_b[victim] = 0
             resident -= 1
@@ -223,20 +214,16 @@ def _replay(
         dirty_b[e] = 1 if write else 0
         loads += 1
         resident += 1
-        if belady:
-            nu = nxt_l[p]
-            stamp[e] = nu
-            if nu == n:
-                (never_dirty if write else never_clean).append(e)
-            else:
-                heappush(heap, ((n - nu) << shift) | (write << id_bits) | e)
+        nu = nxt_l[p]
+        stamp[e] = nu
+        if nu == n:
+            (never_dirty if write else never_clean).append(e)
         else:
-            stamp[e] = p
-            heappush(heap, (p << shift) | e)
+            heappush(heap, ((n - nu) << shift) | (write << id_bits) | e)
 
     pos = 0
     window = _MIN_WINDOW
-    scalar_mode = capacity < scalar_run  # tiny caches thrash by definition
+    scalar_mode = capacity < _SCALAR_RUN  # tiny caches thrash by definition
     scalar_switches = 1 if scalar_mode else 0
     while pos < n:
         if scalar_mode:
@@ -246,21 +233,17 @@ def _replay(
                 if cached_b[e]:
                     if writes_l[pos]:
                         dirty_b[e] = 1
-                    if belady:
-                        nu = nxt_l[pos]
-                        stamp[e] = nu
-                        if nu == n:
-                            (never_dirty if dirty_b[e] else never_clean).append(e)
-                        else:
-                            heappush(
-                                heap,
-                                ((n - nu) << shift) | (dirty_b[e] << id_bits) | e,
-                            )
+                    nu = nxt_l[pos]
+                    stamp[e] = nu
+                    if nu == n:
+                        (never_dirty if dirty_b[e] else never_clean).append(e)
                     else:
-                        stamp[e] = pos
-                        heappush(heap, (pos << shift) | e)
+                        heappush(
+                            heap,
+                            ((n - nu) << shift) | (dirty_b[e] << id_bits) | e,
+                        )
                     run += 1
-                    if run >= 2 * scalar_run and capacity >= scalar_run:
+                    if run >= 2 * _SCALAR_RUN and capacity >= _SCALAR_RUN:
                         pos += 1
                         scalar_mode = False
                         break
@@ -275,40 +258,32 @@ def _replay(
         miss_rel = np.flatnonzero(cached[ids[pos:stop]] == 0)
         hits = int(miss_rel[0]) if miss_rel.size else stop - pos
         if hits:
-            # Bulk-apply the hit run: dirty marking, then one stamp / heap
+            # Bulk-apply the hit run: dirty marking, then one stamp / level
             # entry per distinct element (its last access in the run wins).
             sub = ids[pos : pos + hits]
             written = sub[trace.is_write[pos : pos + hits]]
             if written.size:
                 dirty[written] = 1
             u, first_rev = np.unique(sub[::-1], return_index=True)
-            last_abs = pos + (hits - 1 - first_rev)
-            if belady:
-                stamps = nxt[last_abs]
-                stamp[u] = stamps
-                finite = stamps < n
-                if not finite.all():
-                    gone = u[~finite]
-                    gone_dirty = dirty[gone] != 0
-                    never_dirty.extend(gone[gone_dirty].tolist())
-                    never_clean.extend(gone[~gone_dirty].tolist())
-                    u, stamps = u[finite], stamps[finite]
-                entries = ((n - stamps) << shift) | (
-                    dirty[u].astype(np.int64) << id_bits
-                ) | u
-                if entries.size:
-                    push_level(entries)
-            else:
-                stamps = last_abs
-                stamp[u] = stamps
-                entries = (stamps << shift) | u
-                for entry in entries.tolist():
-                    heappush(heap, entry)
+            stamps = nxt[pos + (hits - 1 - first_rev)]
+            stamp[u] = stamps
+            finite = stamps < n
+            if not finite.all():
+                gone = u[~finite]
+                gone_dirty = dirty[gone] != 0
+                never_dirty.extend(gone[gone_dirty].tolist())
+                never_clean.extend(gone[~gone_dirty].tolist())
+                u, stamps = u[finite], stamps[finite]
+            entries = ((n - stamps) << shift) | (
+                dirty[u].astype(np.int64) << id_bits
+            ) | u
+            if entries.size:
+                push_level(entries)
         if not miss_rel.size:
             pos = stop
             window = min(_MAX_WINDOW, window * 2)
             continue
-        if hits < scalar_run:
+        if hits < _SCALAR_RUN:
             scalar_mode = True  # misses are dense: numpy overhead loses
             scalar_switches += 1
             window = _MIN_WINDOW
@@ -335,25 +310,19 @@ def _replay(
             dirty[run_ids] = run_writes
             loads += run
             resident += run
-            if belady:
-                run_next = nxt[p : p + run]
-                stamp[run_ids] = run_next
-                finite = run_next < n
-                if not finite.all():
-                    gone = run_ids[~finite]
-                    gone_dirty = run_writes[~finite]
-                    never_dirty.extend(gone[gone_dirty].tolist())
-                    never_clean.extend(gone[~gone_dirty].tolist())
-                entries = ((n - run_next[finite]) << shift) | (
-                    run_writes[finite].astype(np.int64) << id_bits
-                ) | run_ids[finite]
-                if entries.size:
-                    push_level(entries)
-            else:
-                positions = np.arange(p, p + run, dtype=np.int64)
-                stamp[run_ids] = positions
-                for entry in ((positions << shift) | run_ids).tolist():
-                    heappush(heap, entry)
+            run_next = nxt[p : p + run]
+            stamp[run_ids] = run_next
+            finite = run_next < n
+            if not finite.all():
+                gone = run_ids[~finite]
+                gone_dirty = run_writes[~finite]
+                never_dirty.extend(gone[gone_dirty].tolist())
+                never_clean.extend(gone[~gone_dirty].tolist())
+            entries = ((n - run_next[finite]) << shift) | (
+                run_writes[finite].astype(np.int64) << id_bits
+            ) | run_ids[finite]
+            if entries.size:
+                push_level(entries)
             pos = p + run
             continue
         handle_miss(p, ids_l[p])
@@ -361,10 +330,9 @@ def _replay(
 
     probe = get_probe()
     if probe.enabled:
-        prefix = "replay.belady" if belady else "replay.lru"
-        probe.count(f"{prefix}.evictions", evictions)
-        probe.count(f"{prefix}.windows", windows)
-        probe.count(f"{prefix}.scalar_switches", scalar_switches)
+        probe.count("replay.belady.evictions", evictions)
+        probe.count("replay.belady.windows", windows)
+        probe.count("replay.belady.scalar_switches", scalar_switches)
     return loads, evict_stores, int(dirty.sum())
 
 
@@ -680,21 +648,6 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _bucket_grid_for(trace: CompiledTrace, capacity: int):
-    """(caps, bucket, index) of a cached grid containing ``capacity``.
-
-    The quantized buckets are exact *at grid capacities*, so any cached
-    sweep that included this capacity serves it; otherwise a one-capacity
-    grid is computed (and cached — repeated single-capacity distance
-    replays still pay the stack pass only once each).
-    """
-    for key, cached in trace._replay_cache.items():
-        if isinstance(key, tuple) and key[0] == "belady_buckets" and capacity in key[1]:
-            return key[1], cached, key[1].index(capacity)
-    caps = (int(capacity),)
-    return caps, _belady_buckets(trace, caps), 0
-
-
 def _belady_counts_from_buckets(
     trace: CompiledTrace, bucket: np.ndarray, caps: tuple[int, ...], index: int
 ) -> tuple[int, int, int]:
@@ -761,31 +714,17 @@ def _belady_counts_from_buckets(
     return loads, stores - flush, flush
 
 
-def lru_replay_trace(
-    trace: CompiledTrace,
-    capacity: int,
-    *,
-    method: str = "distance",
-    scalar_run: int = _SCALAR_RUN,
-) -> LruReplayResult:
+def lru_replay_trace(trace: CompiledTrace, capacity: int) -> LruReplayResult:
     """Array-based LRU replay of a compiled trace.
 
-    ``method="distance"`` (default) computes capacity-independent reuse
-    distances once per trace (cached), making every further capacity an
-    O(n) pass — the natural shape for resource-augmentation sweeps.
-    ``method="simulate"`` runs the adaptive chunked simulation instead
-    (cheaper for a single replay of a heavily-thrashing trace; also an
-    independent implementation the tests cross-check); ``scalar_run``
-    overrides its scalar/vector switch threshold.
+    Classifies every access against the capacity-independent reuse
+    distances (:func:`_reuse_distances`, computed once per trace and
+    cached), so each further capacity is an O(n) counting pass — one
+    engine for single replays and resource-augmentation sweeps alike.
     """
-    if method == "simulate":
-        loads, evict_stores, flush = _replay(
-            trace, capacity, belady=False, scalar_run=scalar_run
-        )
-    else:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        loads, evict_stores, flush = _lru_counts_from_distances(trace, capacity)
+    if capacity < 1:
+        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+    loads, evict_stores, flush = _lru_counts_from_distances(trace, capacity)
     probe = get_probe()
     if probe.enabled:
         probe.count("replay.lru.replays")
@@ -803,37 +742,15 @@ def lru_replay_trace(
     )
 
 
-def belady_replay_trace(
-    trace: CompiledTrace,
-    capacity: int,
-    *,
-    method: str = "simulate",
-    scalar_run: int = _SCALAR_RUN,
-) -> BeladyReplayResult:
-    """Array-based Belady/MIN replay of a compiled trace.
+def belady_replay_trace(trace: CompiledTrace, capacity: int) -> BeladyReplayResult:
+    """Array-based Belady/MIN replay of a compiled trace at one capacity.
 
-    ``method="simulate"`` (default) runs the adaptive chunked engine —
-    still the cheapest way to replay one capacity of a fresh trace.
-    ``method="distance"`` classifies the access against a grouped OPT
-    stack pass (:func:`_belady_buckets`, cached per capacity grid), the
-    path :func:`sweep_replay_trace` amortizes across a whole sweep; both
-    produce bit-identical counts.
+    Runs the adaptive chunked engine — the cheapest way to replay one
+    capacity of a fresh trace.  Many capacities of one trace go through
+    :func:`sweep_replay_trace` instead, which shares one OPT-stack pass
+    across the whole grid; both produce bit-identical counts.
     """
-    if method == "simulate":
-        loads, evict_stores, flush = _replay(
-            trace, capacity, belady=True, scalar_run=scalar_run
-        )
-    elif method == "distance":
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        caps, bucket, index = _bucket_grid_for(trace, int(capacity))
-        loads, evict_stores, flush = _belady_counts_from_buckets(
-            trace, bucket, caps, index
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown replay method {method!r}; choose 'simulate' or 'distance'"
-        )
+    loads, evict_stores, flush = _belady_chunked(trace, capacity)
     probe = get_probe()
     if probe.enabled:
         probe.count("replay.belady.replays")
@@ -852,30 +769,15 @@ def belady_replay_trace(
 
 
 def _sweep_task(task) -> list[tuple[int, int, int]]:
-    """Worker for sharded sweeps: replay one chunk of capacities."""
-    trace, policy, method, scalar_run, caps = task
-    out = []
-    for capacity in caps:
-        loads, evict_stores, flush = _replay_counts(
-            trace, capacity, policy, method, scalar_run
-        )
-        out.append((loads, evict_stores, flush))
-    return out
-
-
-def _replay_counts(
-    trace: CompiledTrace, capacity: int, policy: str, method: str, scalar_run: int
-) -> tuple[int, int, int]:
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-    if method == "simulate":
-        return _replay(
-            trace, capacity, belady=policy == "belady", scalar_run=scalar_run
-        )
+    """(loads, evict_stores, flush_stores) per capacity of one sweep chunk."""
+    trace, policy, grid, caps = task
     if policy == "belady":
-        caps, bucket, index = _bucket_grid_for(trace, int(capacity))
-        return _belady_counts_from_buckets(trace, bucket, caps, index)
-    return _lru_counts_from_distances(trace, capacity)
+        bucket = _belady_buckets(trace, grid)
+        return [
+            _belady_counts_from_buckets(trace, bucket, grid, grid.index(c))
+            for c in caps
+        ]
+    return [_lru_counts_from_distances(trace, c) for c in caps]
 
 
 def sweep_replay_trace(
@@ -883,56 +785,48 @@ def sweep_replay_trace(
     capacities,
     *,
     policy: str = "belady",
-    method: str = "distance",
     jobs: int = 1,
-    scalar_run: int = _SCALAR_RUN,
 ) -> list[LruReplayResult]:
     """Replay one trace at many capacities; results in input order.
 
-    ``method="distance"`` makes the whole sweep one pass: LRU classifies
-    every capacity against the cached reuse distances, Belady against one
-    grouped OPT stack pass over the *canonical grid* of all requested
-    capacities (:func:`_belady_buckets`), leaving only an O(n) counting
-    step per capacity.  ``method="simulate"`` runs the chunked engine per
-    capacity — the independent implementation the sweep tests pin
-    against.  ``jobs > 1`` shards the capacity list over a worker pool
+    The whole sweep is one pass: LRU classifies every capacity against
+    the cached reuse distances, Belady against one grouped OPT stack pass
+    over the *canonical grid* of all requested capacities
+    (:func:`_belady_buckets`), leaving only an O(n) counting step per
+    capacity.  ``jobs > 1`` shards the capacity list over a worker pool
     (:func:`repro.perf.pool.parallel_map`); the parent precomputes the
     shared artifacts so workers inherit them via the pickled trace, and
     the merge is in capacity order — results never depend on ``jobs``.
     Engine probe counters are emitted from the parent (worker probes are
-    process-local and deliberately lost); a Belady distance sweep
-    additionally counts ``replay.belady.sweep_one_pass``.
+    process-local and deliberately lost); a Belady sweep additionally
+    counts ``replay.belady.sweep_one_pass``.
     """
     if policy not in ("lru", "belady"):
         raise ConfigurationError(
             f"unknown replay policy {policy!r}; choose 'lru' or 'belady'"
         )
-    if method not in ("simulate", "distance"):
-        raise ConfigurationError(
-            f"unknown replay method {method!r}; choose 'simulate' or 'distance'"
-        )
     caps = [int(c) for c in capacities]
     if not caps:
         return []
+    grid = _canonical_caps(caps)
     probe = get_probe()
-    if method == "distance":
-        # Shared one-pass artifacts, computed (and cached) up front.
-        if policy == "belady":
-            _belady_buckets(trace, _canonical_caps(caps))
-            if probe.enabled:
-                probe.count("replay.belady.sweep_one_pass")
-        else:
-            _reuse_distances(trace)
-        _element_runs(trace)
+    # Shared one-pass artifacts, computed (and cached) up front.
+    if policy == "belady":
+        _belady_buckets(trace, grid)
+        if probe.enabled:
+            probe.count("replay.belady.sweep_one_pass")
+    else:
+        _reuse_distances(trace)
+    _element_runs(trace)
     jobs = min(int(jobs), len(caps))
     if jobs <= 1:
-        counts = [_replay_counts(trace, c, policy, method, scalar_run) for c in caps]
+        counts = _sweep_task((trace, policy, grid, caps))
     else:
         from ..perf.pool import parallel_map
 
         bounds = [len(caps) * k // jobs for k in range(jobs + 1)]
         tasks = [
-            (trace, policy, method, scalar_run, tuple(caps[bounds[k] : bounds[k + 1]]))
+            (trace, policy, grid, tuple(caps[bounds[k] : bounds[k + 1]]))
             for k in range(jobs)
             if bounds[k] < bounds[k + 1]
         ]

@@ -5,20 +5,19 @@ Three layers, one invariant — *results never depend on ``jobs``*:
 * :mod:`repro.perf.pool` — ``task_seed`` stream splitting (index 0 is the
   identity, so task 0 of any fan-out reproduces the classic serial run),
   ``parallel_map`` order preservation, pool probe counters;
-* one-pass Belady sweeps — the grouped OPT-stack pass
-  (``method="distance"``) must be bit-identical in loads / stores /
-  evict-vs-flush split to the chunked simulate engine at every capacity,
-  on synthetic adversarial streams (hypothesis + seeded sweeps) and on
-  recorded kernels; ``sweep_replay_trace`` must give the same rows serial
-  and sharded;
+* one-pass Belady sweeps — the grouped OPT-stack pass behind
+  ``sweep_replay_trace`` must be bit-identical in loads / stores /
+  evict-vs-flush split to the chunked single-capacity engine and to the
+  tuple-walking reference at every capacity, on synthetic adversarial
+  streams (hypothesis + seeded sweeps) and on recorded kernels; sweeps
+  must give the same rows serial and sharded;
 * multi-chain annealing and multi-seed refinement — ``jobs=4`` bit-equal
   to the documented serial reduction (chain portfolio: min by
   ``(cost, chain_index)``; refine: seed-list order), with chain/seed 0
   reproducing the single-run API.
 
-Also pins the ``scalar_run`` crossover bugfix: the scalar and vectorized
-modes of the chunked engine agree at the boundary capacity where the old
-hard-wired threshold flipped behavior.
+Also pins the scalar-run crossover bugfix: the chunked engine stays exact
+at the capacities around its scalar/vector mode threshold.
 """
 
 import numpy as np
@@ -27,12 +26,14 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.graph.compare import record_case, sweep_case
 from repro.graph.dependency import DependencyGraph
+from repro.graph.policies import belady_replay_reference
 from repro.graph.search import anneal_search
 from repro.obs.probe import probe_scope
 from repro.parallel.executor import partition_graph
 from repro.parallel.refine import refine_partition, refine_partitions
 from repro.perf.pool import SearchPool, parallel_map, task_seed
 from repro.trace.compiled import CompiledTrace
+from repro.analysis.lru_replay import lru_replay_reference
 from repro.trace.replay import (
     _SCALAR_RUN,
     belady_replay_trace,
@@ -84,14 +85,19 @@ def random_stream(rng):
     return ids, writes, op_sizes
 
 
+def counts(r):
+    return (r.loads, r.stores, r.evict_stores)
+
+
 def assert_one_pass_matches(trace, capacity):
-    """The grouped OPT-stack counts == the chunked simulate engine's."""
-    one = belady_replay_trace(trace, capacity, method="distance")
-    sim = belady_replay_trace(trace, capacity, method="simulate")
-    assert (one.loads, one.stores, one.evict_stores, one.distinct) == (
-        sim.loads, sim.stores, sim.evict_stores, sim.distinct), capacity
+    """Grouped OPT-stack counts == chunked engine's == the reference's."""
+    (one,) = sweep_replay_trace(trace, [capacity], policy="belady")
+    chunked = belady_replay_trace(trace, capacity)
+    ref = belady_replay_reference(trace, capacity)
+    key = lambda r: (r.loads, r.stores, r.evict_stores, r.distinct)
+    assert key(one) == key(chunked) == key(ref), capacity
     # flush split is derived (stores - evict_stores) but assert it anyway
-    assert one.stores - one.evict_stores == sim.stores - sim.evict_stores
+    assert one.stores - one.evict_stores == ref.stores - ref.evict_stores
 
 
 def square(x):  # module-level: picklable for ProcessPoolExecutor workers
@@ -197,14 +203,15 @@ def test_one_pass_on_recorded_kernels(kernel, n, mc):
 
 
 def test_sweep_rows_independent_of_jobs_and_method():
+    """Sweep rows == per-capacity replays, serial and sharded alike."""
     trace = record_case("tbs", 24, 4, 15).trace
     caps = [1, 7, 15, 16, 30, 60, 240, 10**6]
-    for policy in ("lru", "belady"):
-        base = sweep_replay_trace(trace, caps, policy=policy, method="simulate")
+    singles = {"lru": lru_replay_reference, "belady": belady_replay_trace}
+    for policy, single in singles.items():
+        base = [counts(single(trace, c)) for c in caps]
         for jobs in (1, 3, 4):
             got = sweep_replay_trace(trace, caps, policy=policy, jobs=jobs)
-            assert [(r.loads, r.stores, r.evict_stores) for r in got] == [
-                (r.loads, r.stores, r.evict_stores) for r in base], (policy, jobs)
+            assert [counts(r) for r in got] == base, (policy, jobs)
 
 
 def test_sweep_preserves_input_order_and_duplicates():
@@ -216,17 +223,6 @@ def test_sweep_preserves_input_order_and_duplicates():
     assert rows[1].loads >= rows[2].loads >= rows[0].loads
 
 
-def test_single_capacity_served_from_cached_grid():
-    trace = record_case("tbs", 20, 3, 15).trace
-    caps = [5, 15, 45]
-    sweep_replay_trace(trace, caps, policy="belady")
-    # grid cached on the trace: any member capacity answers without a new pass
-    for capacity in caps:
-        one = belady_replay_trace(trace, capacity, method="distance")
-        sim = belady_replay_trace(trace, capacity, method="simulate")
-        assert (one.loads, one.stores) == (sim.loads, sim.stores)
-
-
 def test_sweep_case_shape():
     case = record_case("tbs", 20, 3, 15)
     out = sweep_case(case, [15, 30], jobs=2)
@@ -235,34 +231,31 @@ def test_sweep_case_shape():
     assert out["belady"][0].loads <= out["lru"][0].loads
 
 
-def test_unknown_method_rejected():
+def test_unknown_policy_rejected():
     trace = record_case("tbs", 20, 3, 15).trace
     with pytest.raises(ConfigurationError):
-        belady_replay_trace(trace, 15, method="telepathy")
-    with pytest.raises(ConfigurationError):
         sweep_replay_trace(trace, [15], policy="fifo")
+    with pytest.raises(ConfigurationError):
+        sweep_replay_trace(trace, [15, 0], policy="lru")
 
 
 def test_scalar_run_threshold_override_regression():
-    """Scalar and vectorized chunked modes agree at the crossover capacity.
+    """The chunked engine stays exact around its scalar-run threshold.
 
     The old code hard-wired the run threshold; a capacity equal to it chose
     engine modes inconsistently between entry and the mid-replay switch.
-    Forcing each mode via ``scalar_run`` must give identical counts.
+    The capacities on either side of the threshold must match the
+    reference walkers bit for bit.
     """
     rng = np.random.default_rng(31337)
     for _ in range(8):
         ids, writes, op_sizes = random_stream(rng)
         trace = build_trace(ids, writes, op_sizes)
         for capacity in (_SCALAR_RUN - 1, _SCALAR_RUN, _SCALAR_RUN + 1):
-            for policy in (lru_replay_trace, belady_replay_trace):
-                forced_vec = policy(trace, capacity, method="simulate", scalar_run=0)
-                forced_scalar = policy(
-                    trace, capacity, method="simulate", scalar_run=10**9
-                )
-                default = policy(trace, capacity, method="simulate")
-                key = lambda r: (r.loads, r.stores, r.evict_stores)
-                assert key(forced_vec) == key(forced_scalar) == key(default)
+            assert counts(belady_replay_trace(trace, capacity)) == counts(
+                belady_replay_reference(trace, capacity))
+            assert counts(lru_replay_trace(trace, capacity)) == counts(
+                lru_replay_reference(trace, capacity))
 
 
 # ---------------------------------------------------------------------------

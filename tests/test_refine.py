@@ -254,12 +254,9 @@ class TestMakespanModel:
 
 class TestCriticalPathCost:
     def test_unit_weights_match_length(self, tbs_graph):
-        # No-argument form == explicit unit weights == the deprecated
-        # node-count span (which must still answer, with a warning).
+        # No-argument form == explicit unit weights.
         unit = tbs_graph.critical_path_cost()
         assert tbs_graph.critical_path_cost([1] * len(tbs_graph)) == unit
-        with pytest.warns(DeprecationWarning):
-            assert tbs_graph.critical_path_length() == unit
 
     def test_weighted_span_in_summary(self, tbs_case, tbs_graph):
         summ = execute_graph(

@@ -4,7 +4,7 @@ Covers the three tiers and their contracts: content-addressed store
 round-trips (bit-identical replays), corruption/stale-manifest recovery
 (bad objects read as misses, never exceptions), the bounded cache's LRU
 semantics pinned against the array replay engines on the same access
-log, the oracle's Belady equivalence, and the async front end's
+log, the Belady floor on that log, and the async front end's
 single-flight guarantee (N concurrent duplicates → exactly one search).
 """
 
@@ -20,6 +20,7 @@ import pytest
 from repro.__main__ import main
 from repro.errors import ConfigurationError
 from repro.graph.compare import record_case
+from repro.graph.policies import belady_replay_reference
 from repro.obs.probe import probe_scope
 from repro.sched.schedule import Schedule, replay_schedule
 from repro.serve import (
@@ -216,32 +217,19 @@ class TestScheduleCache:
             assert cache.misses == ref.loads, capacity
             assert cache.hits == ref.n_accesses - ref.loads
 
-    def test_oracle_matches_belady_engine(self):
+    def test_belady_floors_lru_on_log(self):
         rng = np.random.default_rng(11)
         log = [f"k{i}" for i in rng.integers(0, 10, size=300)]
         trace = log_to_trace(log)
         for capacity in (1, 2, 4, 6, 10):
-            cache = ScheduleCache.replay(log, capacity, "oracle")
-            ref = belady_replay_trace(trace, capacity)
-            assert cache.misses == ref.loads, capacity
+            opt = belady_replay_trace(trace, capacity)
+            assert opt.loads == belady_replay_reference(trace, capacity).loads
             lru = ScheduleCache.replay(log, capacity)
-            assert cache.hits >= lru.hits  # the oracle is a floor on misses
-
-    def test_oracle_needs_and_checks_its_log(self):
-        with pytest.raises(ConfigurationError, match="future"):
-            ScheduleCache(2, "oracle")
-        with pytest.raises(ConfigurationError, match="future"):
-            ScheduleCache(2, "lru", future=["a"])
-        cache = ScheduleCache(2, "oracle", future=["a", "b"])
-        cache.get("a")
-        with pytest.raises(ConfigurationError, match="recorded log"):
-            cache.get("x")
+            assert opt.loads <= lru.misses, capacity  # OPT floors the cache
 
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             ScheduleCache(0)
-        with pytest.raises(ConfigurationError):
-            ScheduleCache(2, "fifo")
 
     def test_log_records_gets(self):
         cache = ScheduleCache(2)

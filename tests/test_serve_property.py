@@ -8,8 +8,8 @@ sweeps otherwise (mirroring ``test_trace_property.py``):
   bit-identical numerics, across every kernel the harness records;
 * **cache law** — a :class:`~repro.serve.cache.ScheduleCache` driven by
   any request log never exceeds its bound and counts exactly the misses
-  the array replay engines count on the log-as-trace (LRU ↔
-  ``lru_replay_trace``, oracle ↔ ``belady_replay_trace``);
+  ``lru_replay_trace`` counts on the log-as-trace; ``belady_replay_trace``
+  on that trace matches the reference walker and floors the cache;
 * **single flight** — any multiset of concurrent requests runs exactly
   one search per distinct key; every duplicate coalesces and every
   requester gets the identical object;
@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.graph.compare import record_case
+from repro.graph.policies import belady_replay_reference
 from repro.serve import (
     ScheduleCache,
     ScheduleKey,
@@ -65,13 +66,13 @@ def assert_store_roundtrip(kernel, n, m, s):
 
 def assert_cache_matches_engines(log, capacity):
     trace = log_to_trace(log)
-    lru = ScheduleCache.replay(log, capacity, "lru")
-    oracle = ScheduleCache.replay(log, capacity, "oracle")
-    assert len(lru) <= capacity and len(oracle) <= capacity
-    assert lru.log == list(log) and oracle.log == list(log)
+    lru = ScheduleCache.replay(log, capacity)
+    assert len(lru) <= capacity
+    assert lru.log == list(log)
     assert lru.misses == lru_replay_trace(trace, capacity).loads
-    assert oracle.misses == belady_replay_trace(trace, capacity).loads
-    assert oracle.hits >= lru.hits
+    opt = belady_replay_trace(trace, capacity).loads
+    assert opt == belady_replay_reference(trace, capacity).loads
+    assert opt <= lru.misses
 
 
 class CountingSearcher:

@@ -201,12 +201,11 @@ class TestVectorizedReplays:
         trace = compile_trace(sched)
         for capacity in self.CAPACITIES:
             ref = lru_replay_reference(sched, capacity)
-            for method in ("distance", "simulate"):
-                fast = lru_replay_trace(trace, capacity, method=method)
-                assert (fast.loads, fast.stores, fast.evict_stores) == (
-                    ref.loads, ref.stores, ref.evict_stores), (capacity, method)
-                assert fast.n_accesses == ref.n_accesses
-                assert fast.distinct == ref.distinct
+            fast = lru_replay_trace(trace, capacity)
+            assert (fast.loads, fast.stores, fast.evict_stores) == (
+                ref.loads, ref.stores, ref.evict_stores), capacity
+            assert fast.n_accesses == ref.n_accesses
+            assert fast.distinct == ref.distinct
 
     def test_belady_matches_reference(self, sched):
         trace = compile_trace(sched)

@@ -69,17 +69,15 @@ def build_trace(ids, writes, op_sizes):
 
 def assert_replays_match(trace, capacity):
     fast_lru = lru_replay_trace(trace, capacity)
-    sim_lru = lru_replay_trace(trace, capacity, method="simulate")
     ref_lru = lru_replay_reference(trace, capacity)
     assert (fast_lru.loads, fast_lru.stores, fast_lru.distinct) == (
         ref_lru.loads, ref_lru.stores, ref_lru.distinct), ("lru", capacity)
-    assert (sim_lru.loads, sim_lru.stores, sim_lru.evict_stores) == (
-        ref_lru.loads, ref_lru.stores, ref_lru.evict_stores), ("lru-sim", capacity)
     assert fast_lru.evict_stores == ref_lru.evict_stores, ("lru-split", capacity)
     fast_min = belady_replay_trace(trace, capacity)
     ref_min = belady_replay_reference(trace, capacity)
     assert (fast_min.loads, fast_min.stores, fast_min.distinct) == (
         ref_min.loads, ref_min.stores, ref_min.distinct), ("belady", capacity)
+    assert fast_min.evict_stores == ref_min.evict_stores, ("belady-split", capacity)
     assert fast_min.loads <= fast_lru.loads
 
 
