@@ -27,7 +27,6 @@ import pytest
 from repro.core.bounds import parallel_syrk_lower_bound_per_node
 from repro.kernels.opsets import syrk_opset_size
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph
 from repro.graph.rewriter import rewrite_schedule
 from repro.parallel import (
     PARTITIONERS,
@@ -45,7 +44,7 @@ PS = [1, 4, 16]
 
 def run_sweep(n: int):
     case = record_case("tbs", n, M_COLS, S)
-    graph = DependencyGraph.from_trace(case.trace)
+    graph = case.graph
     rows = []
     for p in PS:
         for part in PARTITIONERS:

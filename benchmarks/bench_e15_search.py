@@ -31,7 +31,6 @@ import pytest
 
 from repro.analysis.lru_replay import lru_replay
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph
 from repro.graph.policies import belady_replay
 from repro.graph.rewriter import reschedule, rewrite_schedule
 from repro.graph.scheduler import HEURISTICS
@@ -45,7 +44,7 @@ M_COLS = 6
 def run_case(kernel: str, n: int, mcols: int, *, iters: int, heuristics):
     """One kernel: heuristic baselines + all strategies, strict and relaxed."""
     case = record_case(kernel, n, mcols, S)
-    graph = DependencyGraph.from_trace(case.trace)
+    graph = case.graph
     floor = belady_replay(case.trace, S).loads
     lru = lru_replay(case.trace, S).loads
 

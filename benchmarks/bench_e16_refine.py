@@ -37,7 +37,6 @@ import pytest
 
 from repro.core.bounds import parallel_syrk_lower_bound_per_node
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph
 from repro.parallel import (
     PARTITIONERS,
     execute_graph,
@@ -52,7 +51,7 @@ PS = [4, 16]
 
 def run_sweep(n: int, max_moves: int):
     case = record_case("tbs", n, M_COLS, S)
-    graph = DependencyGraph.from_trace(case.trace)
+    graph = case.graph
     rows = []
     for p in PS:
         for part in PARTITIONERS:

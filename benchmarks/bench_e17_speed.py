@@ -37,7 +37,6 @@ import pytest
 from repro import TwoLevelMachine
 from repro.core.tbs import tbs_syrk
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph
 from repro.graph.search import anneal_search
 from repro.parallel.executor import partition_graph
 from repro.parallel.refine import refine_partitions
@@ -98,7 +97,7 @@ def sweep_one(n: int, factors=CAP_FACTORS, grid="e13"):
 
 def fanout_one(n: int, iters: int):
     case = record_case("tbs", n, 4, 15)
-    graph = DependencyGraph.from_trace(case.trace)
+    graph = case.graph
     owners = [
         list(partition_graph(graph, 4, part))
         for part in ("level-greedy", "locality", "owner-computes")

@@ -38,7 +38,6 @@ import pytest
 
 from repro.core.bounds import parallel_syrk_lower_bound_per_node
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph
 from repro.graph.search import search_order
 from repro.parallel import (
     PARTITIONERS,
@@ -55,7 +54,7 @@ PS = [4, 16]
 
 def run_sweep(n: int, iters: int, search_iters: int, max_moves: int):
     case = record_case("tbs", n, M_COLS, S)
-    graph = DependencyGraph.from_trace(case.trace)
+    graph = case.graph
     identity = list(range(len(graph)))
     searched = search_order(
         graph, S, "anneal", iters=search_iters, seed=0, relax_reductions=True

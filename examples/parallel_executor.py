@@ -21,7 +21,6 @@ Run:  python examples/parallel_executor.py
 
 from repro.core.bounds import parallel_syrk_lower_bound_per_node
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph
 from repro.parallel import (
     PARTITIONERS,
     execute_graph,
@@ -37,7 +36,7 @@ N, M, S, P = 40, 6, 15, 4
 def main() -> None:
     print(banner(f"sharded DAG executor: TBS SYRK on {P} nodes"))
     case = record_case("tbs", N, M, S)
-    graph = DependencyGraph.from_trace(case.trace)
+    graph = case.graph
     print(
         f"recorded {len(graph)} compute ops; critical path "
         f"{int(graph.critical_path_cost())} — every antichain level is a set of "

@@ -21,7 +21,6 @@ Run:  python examples/partition_refinement.py
 
 from repro.core.bounds import parallel_syrk_lower_bound_per_node
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph
 from repro.parallel import (
     PARTITIONERS,
     execute_graph,
@@ -37,7 +36,7 @@ N, M, S, P = 40, 6, 15, 4
 def main() -> None:
     print(banner(f"transfer-aware partition refinement: TBS SYRK on {P} nodes"))
     case = record_case("tbs", N, M, S)
-    graph = DependencyGraph.from_trace(case.trace)
+    graph = case.graph
     mults = [float(node.op.mults) for node in graph.nodes]
     bound = parallel_syrk_lower_bound_per_node(N, M, P, S)
     print(

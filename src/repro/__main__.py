@@ -100,6 +100,7 @@ import math
 import sys
 
 from .analysis.sweep import run_cholesky_once, run_syrk_once
+from .check.cli import cmd_check
 from .config import lbc_block_size
 from .core.bounds import literature_bounds_table
 from .graph.compare import CASES
@@ -245,7 +246,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     from .analysis.lru_replay import lru_replay
     from .graph.compare import record_case
-    from .graph.dependency import DependencyGraph
     from .graph.policies import belady_replay
     from .graph.rewriter import reschedule, rewrite_schedule
     from .graph.search import search_order
@@ -262,7 +262,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     strategies = tuple(args.strategy) if args.strategy else STRATEGIES
     case = record_case(args.kernel, args.n, args.m, args.s)
-    graph = DependencyGraph.from_trace(case.trace)
+    graph = case.graph
     print(banner(
         f"order search: {args.kernel} n={args.n} m={args.m} S={args.s} "
         f"relax_reductions={args.relax}"
@@ -331,66 +331,62 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from .analysis.lru_replay import lru_replay_reference
-    from .graph.compare import record_case
-    from .graph.policies import belady_replay_reference
-    from .trace import (
-        compile_trace,
-        file_kind,
-        load_schedule,
-        load_trace,
-        save_schedule,
-        save_trace,
+def _describe_trace(trace, origin: str) -> None:
+    shapes = ", ".join(f"{n}{list(s)}" for n, s in trace.shapes.items())
+    print(
+        f"{origin}: {trace.n_ops} ops, {trace.n_accesses} element touches, "
+        f"{trace.n_elements} distinct elements; matrices: {shapes}"
     )
+
+
+def _cmd_trace_compile(args: argparse.Namespace) -> int:
+    import os
+
+    from .graph.compare import record_case
+    from .trace import save_schedule, save_trace
+
+    case = record_case(args.kernel, args.n, args.m, args.s)
+    _describe_trace(case.trace, f"{args.kernel} n={args.n} m={args.m} S={args.s}")
+    save_trace(case.trace, args.out)
+    print(f"trace written to {args.out} ({os.path.getsize(args.out):,} bytes)")
+    if args.schedule_out:
+        save_schedule(case.schedule, args.schedule_out)
+        print(
+            f"full schedule written to {args.schedule_out} "
+            f"({os.path.getsize(args.schedule_out):,} bytes)"
+        )
+    return 0
+
+
+def _cmd_trace_info(args: argparse.Namespace) -> int:
+    from .trace import compile_trace, file_kind, load_schedule, load_trace
+
+    if file_kind(args.path) != "schedule":
+        _describe_trace(load_trace(args.path), "trace container")
+        return 0
+    schedule = load_schedule(args.path)
+    counts = schedule.counts()
+    loads, stores = schedule.io_volume()
+    print(
+        f"schedule container: {counts['load']} loads, {counts['evict']} "
+        f"evicts, {counts['compute']} computes; I/O {loads} loads / "
+        f"{stores} stores (elements)"
+    )
+    _describe_trace(compile_trace(schedule), "compiled")
+    return 0
+
+
+def _cmd_trace_replay(args: argparse.Namespace) -> int:
+    from .analysis.lru_replay import lru_replay_reference
+    from .graph.policies import belady_replay_reference
+    from .trace import compile_trace, file_kind, load_schedule, load_trace
     from .trace.replay import sweep_replay_trace
 
-    def describe(trace, origin: str) -> None:
-        shapes = ", ".join(f"{n}{list(s)}" for n, s in trace.shapes.items())
-        print(
-            f"{origin}: {trace.n_ops} ops, {trace.n_accesses} element touches, "
-            f"{trace.n_elements} distinct elements; matrices: {shapes}"
-        )
-
-    if args.trace_command == "compile":
-        case = record_case(args.kernel, args.n, args.m, args.s)
-        trace = case.trace
-        describe(trace, f"{args.kernel} n={args.n} m={args.m} S={args.s}")
-        save_trace(trace, args.out)
-        import os
-
-        print(f"trace written to {args.out} ({os.path.getsize(args.out):,} bytes)")
-        if args.schedule_out:
-            save_schedule(case.schedule, args.schedule_out)
-            print(
-                f"full schedule written to {args.schedule_out} "
-                f"({os.path.getsize(args.schedule_out):,} bytes)"
-            )
-        return 0
-
-    if args.trace_command == "info":
-        kind = file_kind(args.path)
-        if kind == "schedule":
-            schedule = load_schedule(args.path)
-            counts = schedule.counts()
-            loads, stores = schedule.io_volume()
-            print(
-                f"schedule container: {counts['load']} loads, {counts['evict']} "
-                f"evicts, {counts['compute']} computes; I/O {loads} loads / "
-                f"{stores} stores (elements)"
-            )
-            describe(compile_trace(schedule), "compiled")
-        else:
-            describe(load_trace(args.path), "trace container")
-        return 0
-
-    # replay
-    kind = file_kind(args.path)
-    if kind == "schedule":
+    if file_kind(args.path) == "schedule":
         trace = compile_trace(load_schedule(args.path))
     else:
         trace = load_trace(args.path)
-    describe(trace, args.path)
+    _describe_trace(trace, args.path)
     policies = ("lru", "belady") if args.policy == "both" else (args.policy,)
     t = Table(["capacity", "policy", "Q (loads)", "stores", "miss rate", "sweep sec"])
     for policy in policies:
@@ -431,7 +427,6 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
         parallel_syrk_lower_bound_per_node,
     )
     from .graph.compare import record_case
-    from .graph.dependency import DependencyGraph
     from .parallel.executor import execute_graph
     from .parallel.refine import refine_partitions
 
@@ -445,7 +440,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     partitioners = tuple(args.partitioners) if args.partitioners else PARTITIONERS
     with timed("parallel.record"):
         case = record_case(args.kernel, args.n, args.m, args.s)
-        graph = DependencyGraph.from_trace(case.trace)
+        graph = case.graph
     mults = [float(node.op.mults) for node in graph.nodes]
     print(banner(
         f"sharded DAG executor: {args.kernel} n={args.n} m={args.m} "
@@ -535,14 +530,13 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
 
 def _cmd_cosearch(args: argparse.Namespace) -> int:
     from .graph.compare import record_case
-    from .graph.dependency import DependencyGraph
     from .parallel.cosearch import cosearch
     from .parallel.makespan import makespan_model
 
     relax = not args.no_relax
     with timed("cosearch.record"):
         case = record_case(args.kernel, args.n, args.m, args.s)
-        graph = DependencyGraph.from_trace(case.trace)
+        graph = case.graph
     mults = [float(node.op.mults) for node in graph.nodes]
     total_mults = sum(mults)
     print(banner(
@@ -624,56 +618,61 @@ def _serve_keys(args: argparse.Namespace) -> list:
     ]
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from .serve import ScheduleCache, ScheduleService, ScheduleStore, warm_store
+def _cmd_serve_warm(args: argparse.Namespace) -> int:
+    from .serve import ScheduleStore, warm_store
 
     store = ScheduleStore(args.store)
-
-    if args.serve_command == "warm":
-        keys = _serve_keys(args)
-        print(banner(f"serve warm: {len(keys)} keys -> {args.store}"))
-        with timed("serve.warm") as tm:
-            searched = warm_store(store, keys, jobs=args.jobs, force=args.force)
-        t = Table(["key", "digest", "action"])
-        for key in keys:
-            t.add_row(
-                [key.canonical(), key.digest()[:12],
-                 "searched" if key in searched else "already stored"]
-            )
-        print(t.render())
-        print(f"{len(searched)} searched, {len(keys) - len(searched)} already "
-              f"present ({tm.elapsed:.2f}s, --jobs {args.jobs})")
-        return 0
-
-    if args.serve_command == "stats":
-        stats = store.stats()
-        print(banner(f"serve stats: {args.store}"))
-        t = Table(["entries", "bytes", "per kernel", "per policy"])
+    keys = _serve_keys(args)
+    print(banner(f"serve warm: {len(keys)} keys -> {args.store}"))
+    with timed("serve.warm") as tm:
+        searched = warm_store(store, keys, jobs=args.jobs, force=args.force)
+    t = Table(["key", "digest", "action"])
+    for key in keys:
         t.add_row(
-            [stats["entries"], format_int(stats["bytes"]),
-             json.dumps(stats["per_kernel"]), json.dumps(stats["per_policy"])]
+            [key.canonical(), key.digest()[:12],
+             "searched" if key in searched else "already stored"]
         )
-        print(t.render())
-        if args.json:
-            from .obs.provenance import provenance_stamp
+    print(t.render())
+    print(f"{len(searched)} searched, {len(keys) - len(searched)} already "
+          f"present ({tm.elapsed:.2f}s, --jobs {args.jobs})")
+    return 0
 
-            payload = {
-                "experiment": "serve_stats",
-                "provenance": provenance_stamp(),
-                "rows": [stats],
-            }
-            from .utils.atomic import atomic_write_json
 
-            atomic_write_json(args.json, payload, indent=2)
-            print(f"stats written to {args.json}")
-        return 0
+def _cmd_serve_stats(args: argparse.Namespace) -> int:
+    import json
 
-    # query: a zipf-ish synthetic request stream through the front end
+    from .serve import ScheduleStore
+
+    stats = ScheduleStore(args.store).stats()
+    print(banner(f"serve stats: {args.store}"))
+    t = Table(["entries", "bytes", "per kernel", "per policy"])
+    t.add_row(
+        [stats["entries"], format_int(stats["bytes"]),
+         json.dumps(stats["per_kernel"]), json.dumps(stats["per_policy"])]
+    )
+    print(t.render())
+    if args.json:
+        from .obs.provenance import provenance_stamp
+        from .utils.atomic import atomic_write_json
+
+        payload = {
+            "experiment": "serve_stats",
+            "provenance": provenance_stamp(),
+            "rows": [stats],
+        }
+        atomic_write_json(args.json, payload, indent=2)
+        print(f"stats written to {args.json}")
+    return 0
+
+
+def _cmd_serve_query(args: argparse.Namespace) -> int:
+    """A zipf-ish synthetic request stream through the front end."""
+    import asyncio
     import random
 
+    from .serve import ScheduleCache, ScheduleService, ScheduleStore
+
+    store = ScheduleStore(args.store)
     keys = _serve_keys(args)
     rng = random.Random(args.seed)
     weights = [1.0 / (rank + 1) ** args.zipf for rank in range(len(keys))]
@@ -732,12 +731,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from .check.cli import cmd_check
-
-    return cmd_check(args)
-
-
 def _cmd_constants(_args: argparse.Namespace) -> int:
     print(banner("the paper's four contributions"))
     t = Table(["kernel", "quantity", "before", "after", "paper source"])
@@ -751,222 +744,239 @@ def _cmd_constants(_args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+# --------------------------------------------------------------------- #
+# The command table: every flag is declared once, below
+# --------------------------------------------------------------------- #
+
+
+def arg(*flags: str, **kwargs) -> tuple:
+    """One ``add_argument`` call as data: ``(flags, kwargs)``."""
+    return flags, kwargs
+
+
+def positive_int(text: str) -> int:
+    """``argparse`` type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _case(kernel: str | None = "tbs", *, ns: bool = False) -> list:
+    """``--kernel/--n/--m/--s``; ``ns`` swaps ``--n`` for an ``--ns`` list."""
+    return [
+        arg("--kernel", choices=sorted(CASES), default=kernel, help="kernel to record"),
+        arg("--ns", type=int, nargs="+", default=[40],
+            help="one key per N (the rest of the tuple is shared)") if ns
+        else arg("--n", type=int, default=40, help="matrix order N"),
+        arg("--m", type=int, default=6, help="columns M of A (unused by chol)"),
+        arg("--s", type=int, default=15, help="fast-memory capacity S"),
+    ]
+
+
+#: ``--alpha/--beta``: the makespan latency model.
+MODEL = [
+    arg("--alpha", type=float, default=1.0,
+        help="per-cross-edge latency constant of the makespan model"),
+    arg("--beta", type=float, default=1.0,
+        help="per-transferred-element latency of the makespan model"),
+]
+
+# The run flags.
+SEED = arg("--seed", type=int, default=0,
+           help="RNG seed (the same seed reproduces the run)")
+JOBS = arg("--jobs", type=int, default=1,
+           help="worker processes for the fan-out (bit-identical at any count)")
+REPORT = arg("--report", default=None, metavar="PATH",
+             help="write the run report (provenance, timers, counters, "
+                  "convergence series) as JSON")
+TIMELINE = arg("--timeline", default=None, metavar="PATH",
+               help="export the best row's schedule as a Chrome trace-event JSON")
+
+NPZ_PATH = arg("path", help="trace or schedule .npz")
+STORE = arg("--store", required=True, help="store root directory")
+SERVE_KEY = [
+    STORE,
+    *_case(ns=True),
+    arg("--p", type=int, default=1),
+    arg("--policy", choices=["heuristic", "search", "cosearch"], default="heuristic",
+        help="searcher pipeline (part of the key)"),
+    *MODEL,
+]
+
+#: ``(name, help, handler, arguments)`` per command.  A command group has
+#: no handler; its arguments slot holds the group's own table, and the
+#: chosen subcommand lands in ``args.<name>_command``.
+COMMANDS = (
+    ("demo", "quickstart comparison", _cmd_demo, []),
+    ("figures", "render the paper's figures", _cmd_figures, [
+        arg("--n", type=int, default=27),
+        arg("--k", type=int, default=5),
+    ]),
+    ("sweep", "run a volume sweep", _cmd_sweep, [
+        arg("kernel", choices=["syrk", "cholesky"]),
+        arg("--s", type=int, default=15),
+        arg("--m", type=int, default=8),
+        arg("--ns", type=int, nargs="+", default=[60, 120]),
+    ]),
+    ("constants", "print the constants tables", _cmd_constants, []),
+    ("replay", "LRU-replay a recorded op order", _cmd_replay, [
+        arg("--s", type=int, default=15),
+        arg("--n", type=int, default=40),
+        arg("--m", type=int, default=6),
+    ]),
+    ("graph", "dependency-DAG rescheduling report", _cmd_graph, [
+        *_case(),
+        arg("--heuristics", nargs="+", default=None, choices=list(HEURISTICS)),
+        arg("--no-numerics", action="store_true",
+            help="skip the bit-exact replay check (faster)"),
+    ]),
+    ("search", "order-search engine report", _cmd_search, [
+        *_case(),
+        arg("--strategy", nargs="+", default=None, choices=list(STRATEGIES),
+            help="strategies to run (default: all three)"),
+        arg("--heuristics", nargs="+", default=["locality"], choices=list(HEURISTICS),
+            help="one-shot baselines to print alongside"),
+        arg("--relax", action="store_true",
+            help="relax commuting reductions (orders then match "
+                 "the reference only up to FP reassociation)"),
+        arg("--width", type=int, default=4, help="beam width"),
+        arg("--depth", type=int, default=4, help="lookahead depth"),
+        arg("--iters", type=int, default=800, help="annealing iterations"),
+        SEED,
+        arg("--chains", type=int, default=1,
+            help="independent annealing chains (portfolio; "
+                 "chain 0 reproduces --chains 1 bit for bit)"),
+        JOBS, REPORT, TIMELINE,
+    ]),
+    ("trace", "compiled trace IR: compile/replay/info", None, (
+        ("compile", "record a kernel and save its trace", _cmd_trace_compile, [
+            *_case(),
+            arg("-o", "--out", required=True, help="output .npz path"),
+            arg("--schedule-out", default=None,
+                help="also save the full schedule (reconstructible ops)"),
+        ]),
+        ("replay", "array-based LRU/Belady replay of a saved trace", _cmd_trace_replay, [
+            NPZ_PATH,
+            arg("--capacity", type=int, nargs="+", required=True),
+            arg("--policy", choices=["lru", "belady", "both"], default="both"),
+            arg("--check", action="store_true",
+                help="cross-check against the reference walkers"),
+            JOBS,
+        ]),
+        ("info", "summarize a saved trace/schedule", _cmd_trace_info, [NPZ_PATH]),
+    )),
+    ("parallel", "sharded task-DAG executor report", _cmd_parallel, [
+        *_case(),
+        arg("--p", type=int, nargs="+", default=[1, 4, 16]),
+        arg("--partitioners", nargs="+", default=None, choices=list(PARTITIONERS)),
+        arg("--policy", choices=[p for p in POLICIES if p != "explicit"],
+            default="rewrite"),
+        arg("--refine", nargs="?", const="greedy", default=None,
+            choices=list(REFINE_STRATEGIES),
+            help="also refine each partitioner's assignment "
+                 "(transfer-aware local search) and print the row"),
+        SEED, JOBS, *MODEL, REPORT, TIMELINE,
+    ]),
+    ("cosearch", "joint order x partition co-search report", _cmd_cosearch, [
+        *_case(),
+        arg("--p", type=int, nargs="+", default=[4]),
+        arg("--iters", type=int, default=600,
+            help="annealing steps per co-search chain"),
+        arg("--search-iters", type=int, default=200,
+            help="annealing steps for the order-search seeds"),
+        SEED, JOBS, *MODEL,
+        arg("--no-relax", action="store_true",
+            help="keep reduction chains in recorded order "
+                 "(bit-exact numerics, smaller move space)"),
+        REPORT, TIMELINE,
+    ]),
+    ("serve", "schedule-serving layer: warm/query/stats", None, (
+        ("warm", "batch-search a key grid into the store", _cmd_serve_warm, [
+            *SERVE_KEY,
+            JOBS,
+            arg("--force", action="store_true", help="re-search keys already present"),
+        ]),
+        ("query", "run a synthetic request stream", _cmd_serve_query, [
+            *SERVE_KEY,
+            arg("--requests", type=positive_int, default=64),
+            arg("--cache-size", type=int, default=4,
+                help="in-process LRU capacity (schedules)"),
+            arg("--zipf", type=float, default=1.1,
+                help="zipf exponent of the key popularity ranking"),
+            arg("--batch", type=positive_int, default=16,
+                help="concurrent requests per wave (coalescing window)"),
+            SEED,
+            arg("--workers", type=int, default=0,
+                help="search-worker processes (0: search on a thread)"),
+        ]),
+        ("stats", "reconciled store statistics", _cmd_serve_stats, [
+            STORE,
+            arg("--json", default=None, metavar="PATH",
+                help="also write the stats as a provenance-stamped JSON"),
+        ]),
+    )),
+    ("report", "pretty-print a saved run report", _cmd_report, [
+        arg("path", help="a --report JSON written by search/parallel"),
+    ]),
+    ("check", "static analysis: schedule certifier, race detector, repo lints",
+     cmd_check, [
+        arg("artifact", nargs="?", default=None, help="a saved .npz schedule to certify"),
+        arg("--capacity", type=int, default=None,
+            help="fast-memory capacity S to certify against (required for "
+                 "artifact paths; store objects default to their key's S)"),
+        arg("--store", default=None, metavar="ROOT",
+            help="certify objects of a serve store"),
+        arg("--digest", default=None, metavar="HEX", help="one store object (with --store)"),
+        arg("--all", action="store_true", help="every keyed store object (with --store)"),
+        *_case(kernel=None),
+        arg("--p", type=int, default=1,
+            help="with --kernel: also partition across p shards and "
+                 "run the race detector + conservation checks"),
+        arg("--partitioner", default="owner-computes", choices=list(PARTITIONERS)),
+        arg("--relax", action="store_true",
+            help="treat commuting reductions as reorderable "
+                 "(race-checks the relaxed happens-before)"),
+        arg("--lint", nargs="+", default=None, metavar="PATH",
+            help="lint mode: check .py files under PATH(s)"),
+        arg("--format", choices=["table", "json"], default="table"),
+        REPORT,
+    ]),
+)
+
+
+def _add_commands(sub, table) -> None:
+    for name, help_text, handler, args in table:
+        p = sub.add_parser(name, help=help_text)
+        if handler is None:
+            _add_commands(p.add_subparsers(dest=f"{name}_command", required=True), args)
+            continue
+        for flags, kwargs in args:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(handler=handler)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, built from :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    _add_commands(parser.add_subparsers(dest="command", required=True), COMMANDS)
+    return parser
 
-    sub.add_parser("demo", help="quickstart comparison")
 
-    p_fig = sub.add_parser("figures", help="render the paper's figures")
-    p_fig.add_argument("--n", type=int, default=27)
-    p_fig.add_argument("--k", type=int, default=5)
-
-    p_sweep = sub.add_parser("sweep", help="run a volume sweep")
-    p_sweep.add_argument("kernel", choices=["syrk", "cholesky"])
-    p_sweep.add_argument("--s", type=int, default=15)
-    p_sweep.add_argument("--m", type=int, default=8)
-    p_sweep.add_argument("--ns", type=int, nargs="+", default=[60, 120])
-
-    sub.add_parser("constants", help="print the constants tables")
-
-    p_replay = sub.add_parser("replay", help="LRU-replay a recorded op order")
-    p_replay.add_argument("--s", type=int, default=15)
-    p_replay.add_argument("--n", type=int, default=40)
-    p_replay.add_argument("--m", type=int, default=6)
-
-    p_graph = sub.add_parser("graph", help="dependency-DAG rescheduling report")
-    p_graph.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_graph.add_argument("--n", type=int, default=40)
-    p_graph.add_argument("--m", type=int, default=6)
-    p_graph.add_argument("--s", type=int, default=15)
-    p_graph.add_argument("--heuristics", nargs="+", default=None, choices=list(HEURISTICS))
-    p_graph.add_argument("--no-numerics", action="store_true",
-                         help="skip the bit-exact replay check (faster)")
-
-    p_search = sub.add_parser("search", help="order-search engine report")
-    p_search.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_search.add_argument("--n", type=int, default=40)
-    p_search.add_argument("--m", type=int, default=6)
-    p_search.add_argument("--s", type=int, default=15)
-    p_search.add_argument("--strategy", nargs="+", default=None,
-                          choices=list(STRATEGIES),
-                          help="strategies to run (default: all three)")
-    p_search.add_argument("--heuristics", nargs="+", default=["locality"],
-                          choices=list(HEURISTICS),
-                          help="one-shot baselines to print alongside")
-    p_search.add_argument("--relax", action="store_true",
-                          help="relax commuting reductions (orders then match "
-                               "the reference only up to FP reassociation)")
-    p_search.add_argument("--width", type=int, default=4, help="beam width")
-    p_search.add_argument("--depth", type=int, default=4, help="lookahead depth")
-    p_search.add_argument("--iters", type=int, default=800, help="annealing iterations")
-    p_search.add_argument("--seed", type=int, default=0, help="annealing seed")
-    p_search.add_argument("--chains", type=int, default=1,
-                          help="independent annealing chains (portfolio; "
-                               "chain 0 reproduces --chains 1 bit for bit)")
-    p_search.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the chain fan-out")
-    p_search.add_argument("--report", default=None, metavar="PATH",
-                          help="write the run report (provenance, timers, "
-                               "counters, convergence series) as JSON")
-    p_search.add_argument("--timeline", default=None, metavar="PATH",
-                          help="export the best searched order as a Chrome "
-                               "trace-event JSON (single-node timeline)")
-
-    p_trace = sub.add_parser("trace", help="compiled trace IR: compile/replay/info")
-    tsub = p_trace.add_subparsers(dest="trace_command", required=True)
-    p_tc = tsub.add_parser("compile", help="record a kernel and save its trace")
-    p_tc.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_tc.add_argument("--n", type=int, default=40)
-    p_tc.add_argument("--m", type=int, default=6)
-    p_tc.add_argument("--s", type=int, default=15)
-    p_tc.add_argument("-o", "--out", required=True, help="output .npz path")
-    p_tc.add_argument("--schedule-out", default=None,
-                      help="also save the full schedule (reconstructible ops)")
-    p_tr = tsub.add_parser("replay", help="array-based LRU/Belady replay of a saved trace")
-    p_tr.add_argument("path", help="trace or schedule .npz")
-    p_tr.add_argument("--capacity", type=int, nargs="+", required=True)
-    p_tr.add_argument("--policy", choices=["lru", "belady", "both"], default="both")
-    p_tr.add_argument("--check", action="store_true",
-                      help="cross-check against the reference walkers")
-    p_tr.add_argument("--jobs", type=int, default=1,
-                      help="worker processes sharding the capacity sweep")
-    p_ti = tsub.add_parser("info", help="summarize a saved trace/schedule")
-    p_ti.add_argument("path")
-
-    p_par = sub.add_parser("parallel", help="sharded task-DAG executor report")
-    p_par.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_par.add_argument("--n", type=int, default=40)
-    p_par.add_argument("--m", type=int, default=6)
-    p_par.add_argument("--s", type=int, default=15)
-    p_par.add_argument("--p", type=int, nargs="+", default=[1, 4, 16])
-    p_par.add_argument("--partitioners", nargs="+", default=None,
-                       choices=list(PARTITIONERS))
-    p_par.add_argument("--policy", choices=[p for p in POLICIES if p != "explicit"],
-                       default="rewrite")
-    p_par.add_argument("--refine", nargs="?", const="greedy", default=None,
-                       choices=list(REFINE_STRATEGIES),
-                       help="also refine each partitioner's assignment "
-                            "(transfer-aware local search) and print the row")
-    p_par.add_argument("--seed", type=int, default=0,
-                       help="seed for the refinement annealer")
-    p_par.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the multi-seed refine fan-out")
-    p_par.add_argument("--alpha", type=float, default=1.0,
-                       help="per-cross-edge latency constant of the makespan model")
-    p_par.add_argument("--beta", type=float, default=1.0,
-                       help="per-transferred-element latency of the makespan model")
-    p_par.add_argument("--report", default=None, metavar="PATH",
-                       help="write the run report (provenance, timers, "
-                            "counters, convergence series) as JSON")
-    p_par.add_argument("--timeline", default=None, metavar="PATH",
-                       help="export the lowest-makespan row as a Chrome "
-                            "trace-event JSON (one track per node, transfers "
-                            "as flow arrows)")
-
-    p_cos = sub.add_parser(
-        "cosearch", help="joint order x partition co-search report"
-    )
-    p_cos.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_cos.add_argument("--n", type=int, default=40)
-    p_cos.add_argument("--m", type=int, default=6)
-    p_cos.add_argument("--s", type=int, default=15)
-    p_cos.add_argument("--p", type=int, nargs="+", default=[4])
-    p_cos.add_argument("--iters", type=int, default=600,
-                       help="annealing steps per co-search chain")
-    p_cos.add_argument("--search-iters", type=int, default=200,
-                       help="annealing steps for the order-search seeds")
-    p_cos.add_argument("--seed", type=int, default=0,
-                       help="base RNG seed (chain k gets a derived stream)")
-    p_cos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes fanning the portfolio chains")
-    p_cos.add_argument("--alpha", type=float, default=1.0,
-                       help="per-cross-edge latency constant of the makespan model")
-    p_cos.add_argument("--beta", type=float, default=1.0,
-                       help="per-transferred-element latency of the makespan model")
-    p_cos.add_argument("--no-relax", action="store_true",
-                       help="keep reduction chains in recorded order "
-                            "(bit-exact numerics, smaller move space)")
-    p_cos.add_argument("--report", default=None, metavar="PATH",
-                       help="write the run report (provenance, timers, "
-                            "counters, convergence series) as JSON")
-    p_cos.add_argument("--timeline", default=None, metavar="PATH",
-                       help="export the winning schedule of the lowest-"
-                            "makespan P as a Chrome trace-event JSON")
-
-    p_srv = sub.add_parser("serve", help="schedule-serving layer: warm/query/stats")
-    ssub = p_srv.add_subparsers(dest="serve_command", required=True)
-
-    def serve_key_args(sp):
-        sp.add_argument("--store", required=True, help="store root directory")
-        sp.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-        sp.add_argument("--ns", type=int, nargs="+", default=[40],
-                        help="one key per N (the rest of the tuple is shared)")
-        sp.add_argument("--m", type=int, default=6)
-        sp.add_argument("--s", type=int, default=15)
-        sp.add_argument("--p", type=int, default=1)
-        sp.add_argument("--policy", choices=["heuristic", "search", "cosearch"],
-                        default="heuristic", help="searcher pipeline (part of the key)")
-        sp.add_argument("--alpha", type=float, default=1.0)
-        sp.add_argument("--beta", type=float, default=1.0)
-
-    p_sw = ssub.add_parser("warm", help="batch-search a key grid into the store")
-    serve_key_args(p_sw)
-    p_sw.add_argument("--jobs", type=int, default=1,
-                      help="worker processes fanning the searches")
-    p_sw.add_argument("--force", action="store_true",
-                      help="re-search keys already present")
-    p_sq = ssub.add_parser("query", help="run a synthetic request stream")
-    serve_key_args(p_sq)
-    p_sq.add_argument("--requests", type=int, default=64)
-    p_sq.add_argument("--cache-size", type=int, default=4,
-                      help="in-process LRU capacity (schedules)")
-    p_sq.add_argument("--zipf", type=float, default=1.1,
-                      help="zipf exponent of the key popularity ranking")
-    p_sq.add_argument("--batch", type=int, default=16,
-                      help="concurrent requests per wave (coalescing window)")
-    p_sq.add_argument("--seed", type=int, default=0)
-    p_sq.add_argument("--workers", type=int, default=0,
-                      help="search-worker processes (0: search on a thread)")
-    p_ss = ssub.add_parser("stats", help="reconciled store statistics")
-    p_ss.add_argument("--store", required=True, help="store root directory")
-    p_ss.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the stats as a provenance-stamped JSON")
-
-    p_rep = sub.add_parser("report", help="pretty-print a saved run report")
-    p_rep.add_argument("path", help="a --report JSON written by search/parallel")
-
-    from .check.cli import add_check_parser
-
-    add_check_parser(sub)
-
-    args = parser.parse_args(argv)
-    handler = {
-        "demo": _cmd_demo,
-        "figures": _cmd_figures,
-        "sweep": _cmd_sweep,
-        "constants": _cmd_constants,
-        "replay": _cmd_replay,
-        "graph": _cmd_graph,
-        "search": _cmd_search,
-        "trace": _cmd_trace,
-        "parallel": _cmd_parallel,
-        "cosearch": _cmd_cosearch,
-        "serve": _cmd_serve,
-        "report": _cmd_report,
-        "check": _cmd_check,
-    }[args.command]
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     report_path = getattr(args, "report", None)
     if not report_path:
-        return handler(args)
+        return args.handler(args)
     # --report: run the whole command under a recording probe, then save
     # everything it observed as one provenance-stamped JSON document.
     from .obs.report import build_report, save_report
 
     with probe_scope() as probe:
-        rc = handler(args)
+        rc = args.handler(args)
     params = {
-        k: v for k, v in vars(args).items() if k not in ("command", "report")
+        k: v for k, v in vars(args).items()
+        if k not in ("command", "report", "handler")
     }
     save_report(
         build_report(probe, command=args.command, params=params), report_path

@@ -12,6 +12,10 @@ Three modes, one finding model:
   lint pass; any finding fails the run (the CI gate).
 * ``--format json`` emits one machine-readable document instead of tables.
 
+The ``check`` flags live in the CLI's command table (:mod:`repro.__main__`),
+which shares the ``--kernel/--n/--m/--s`` and ``--report`` declarations
+with the other commands.
+
 Exit status: 0 when no error-severity finding was produced (lint mode is
 stricter: any finding at all fails), 1 otherwise, 2 on usage errors.
 """
@@ -24,46 +28,8 @@ from typing import Any
 from ..utils.fmt import Table, banner
 from .certify import Certificate, certify_schedule
 from .conservation import check_conservation
-from .findings import CODES, Finding, has_errors, sort_findings
+from .findings import Finding, has_errors, sort_findings
 from .races import check_races
-
-
-def add_check_parser(sub) -> None:
-    """Register the ``check`` subparser on the CLI's subparsers object."""
-    p = sub.add_parser(
-        "check",
-        help="static analysis: schedule certifier, race detector, repo lints",
-    )
-    p.add_argument("artifact", nargs="?", default=None,
-                   help="a saved .npz schedule to certify")
-    p.add_argument("--capacity", type=int, default=None,
-                   help="fast-memory capacity S to certify against "
-                        "(required for artifact paths; store objects "
-                        "default to their key's S)")
-    p.add_argument("--store", default=None, metavar="ROOT",
-                   help="certify objects of a serve store")
-    p.add_argument("--digest", default=None, metavar="HEX",
-                   help="one store object (with --store)")
-    p.add_argument("--all", action="store_true",
-                   help="every keyed store object (with --store)")
-    p.add_argument("--kernel", default=None,
-                   help="record + certify a kernel case (tbs/ocs/syr2k/chol)")
-    p.add_argument("--n", type=int, default=40)
-    p.add_argument("--m", type=int, default=6)
-    p.add_argument("--s", type=int, default=15)
-    p.add_argument("--p", type=int, default=1,
-                   help="with --kernel: also partition across p shards and "
-                        "run the race detector + conservation checks")
-    p.add_argument("--partitioner", default="owner-computes",
-                   choices=["level-greedy", "locality", "owner-computes"])
-    p.add_argument("--relax", action="store_true",
-                   help="treat commuting reductions as reorderable "
-                        "(race-checks the relaxed happens-before)")
-    p.add_argument("--lint", nargs="+", default=None, metavar="PATH",
-                   help="lint mode: check .py files under PATH(s)")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.add_argument("--report", default=None, metavar="PATH",
-                   help="write the run report (check.* counters) as JSON")
 
 
 def _emit(mode: str, findings: list[Finding], stats: dict[str, Any],
@@ -176,7 +142,6 @@ def cmd_check(args) -> int:
         return 2
 
     from ..graph.compare import record_case
-    from ..graph.dependency import DependencyGraph
 
     case = record_case(args.kernel, args.n, args.m, args.s)
     cert = certify_schedule(case.schedule, case.capacity)
@@ -186,12 +151,11 @@ def cmd_check(args) -> int:
     if args.p > 1:
         from ..parallel.executor import partition_graph
 
-        graph = DependencyGraph.from_trace(case.trace)
-        owner = partition_graph(graph, args.p, args.partitioner)
+        owner = partition_graph(case.graph, args.p, args.partitioner)
         findings.extend(check_races(
-            graph, owner, relax_reductions=args.relax))
+            case.graph, owner, relax_reductions=args.relax))
         findings.extend(check_conservation(
-            graph, owner,
+            case.graph, owner,
             exclusive_writer=args.partitioner == "owner-computes"))
         stats["p"] = args.p
         stats["partitioner"] = args.partitioner
@@ -204,11 +168,3 @@ def cmd_check(args) -> int:
         print(banner(f"check kernel: {mode}"))
     _emit("kernel", sort_findings(findings), stats, fmt, ok)
     return 0 if ok else 1
-
-
-def describe_codes() -> Table:
-    """The finding-code catalog as a rendered table (used by docs)."""
-    t = Table(["code", "severity", "meaning"])
-    for code, (severity, title) in sorted(CODES.items()):
-        t.add_row([code, severity, title])
-    return t

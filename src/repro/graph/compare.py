@@ -61,6 +61,7 @@ class RecordedCase:
     result_names: list[str]
     reference: dict[str, np.ndarray]
     _trace: CompiledTrace | None = None
+    _graph: DependencyGraph | None = None
 
     @property
     def trace(self) -> CompiledTrace:
@@ -68,6 +69,13 @@ class RecordedCase:
         if self._trace is None:
             self._trace = compile_trace(self.schedule)
         return self._trace
+
+    @property
+    def graph(self) -> DependencyGraph:
+        """The trace's dependency DAG (built once, lazily)."""
+        if self._graph is None:
+            self._graph = DependencyGraph.from_trace(self.trace)
+        return self._graph
 
     def check_exact(self, rewritten: Schedule) -> bool:
         """Replay ``rewritten`` on a fresh machine; results bit-identical?"""
@@ -243,7 +251,7 @@ def compare_case(
     maps a strategy name to extra keyword arguments for it.
     """
     trace = case.trace
-    graph = DependencyGraph.from_trace(trace)
+    graph = case.graph
     comp = Comparison(case=case, graph=graph)
     comp.rows.append(
         ComparisonRow("explicit", case.explicit_loads, case.explicit_stores, valid=True, exact=True)

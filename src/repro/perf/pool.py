@@ -63,8 +63,11 @@ class SearchPool:
     ``jobs <= 1`` never creates an executor: :meth:`map` is a plain loop.
     Otherwise the first parallel :meth:`map` lazily spins up one
     ``ProcessPoolExecutor`` that subsequent maps reuse, amortizing worker
-    start-up across repeated fan-outs (the CLI's per-partitioner refine
-    loop, repeated capacity sweeps).
+    start-up across repeated fan-outs.  Its one long-lived holder is the
+    serving front end: :class:`repro.serve.frontend.ScheduleService`
+    submits each search miss to one pool kept until ``close()``.  Every
+    other fan-out (search chains, refines, capacity sweeps, co-search
+    portfolios, store warming) is a one-shot :func:`parallel_map`.
     """
 
     def __init__(self, jobs: int = 1, chunk_size: int | None = None):

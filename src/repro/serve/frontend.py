@@ -36,6 +36,7 @@ import asyncio
 from typing import Callable, Iterable, Sequence
 
 from ..errors import ConfigurationError
+from ..graph.compare import record_case
 from ..obs.probe import get_probe, timed
 from ..perf.pool import SearchPool, parallel_map
 from ..sched.schedule import Schedule
@@ -49,14 +50,6 @@ SEARCH_ITERS = 300
 COSEARCH_ITERS = 200
 
 
-def _case_graph(key: ScheduleKey):
-    from ..graph.compare import record_case
-    from ..graph.dependency import DependencyGraph
-
-    case = record_case(key.kernel, key.n, key.m, key.s)
-    return case, DependencyGraph.from_trace(case.trace)
-
-
 def _seed_of(key: ScheduleKey) -> int:
     """Deterministic per-key RNG seed (the digest's leading 32 bits)."""
     return int(key.digest()[:8], 16)
@@ -66,8 +59,8 @@ def _search_heuristic(key: ScheduleKey) -> Schedule:
     """One-shot locality list schedule, dressed and validated."""
     from ..graph.rewriter import reschedule
 
-    case, graph = _case_graph(key)
-    return reschedule(case.trace, key.s, "locality", graph=graph).schedule
+    case = record_case(key.kernel, key.n, key.m, key.s)
+    return reschedule(case.trace, key.s, "locality", graph=case.graph).schedule
 
 
 def _search_order(key: ScheduleKey) -> Schedule:
@@ -75,13 +68,13 @@ def _search_order(key: ScheduleKey) -> Schedule:
     from ..graph.rewriter import rewrite_schedule
     from ..graph.search import search_order
 
-    case, graph = _case_graph(key)
+    case = record_case(key.kernel, key.n, key.m, key.s)
     found = search_order(
-        graph, key.s, "anneal",
+        case.graph, key.s, "anneal",
         iters=SEARCH_ITERS, seed=_seed_of(key), relax_reductions=True,
     )
     return rewrite_schedule(
-        case.trace, key.s, found.order, graph=graph, relax_reductions=True
+        case.trace, key.s, found.order, graph=case.graph, relax_reductions=True
     ).schedule
 
 
@@ -96,14 +89,14 @@ def _search_cosearch(key: ScheduleKey) -> Schedule:
     from ..graph.rewriter import rewrite_schedule
     from ..parallel.cosearch import cosearch
 
-    case, graph = _case_graph(key)
+    case = record_case(key.kernel, key.n, key.m, key.s)
     res = cosearch(
-        graph, key.p, key.s,
+        case.graph, key.p, key.s,
         iters=COSEARCH_ITERS, seed=_seed_of(key),
         alpha=key.alpha, beta=key.beta, relax_reductions=True,
     )
     return rewrite_schedule(
-        case.trace, key.s, list(res.order), graph=graph, relax_reductions=True
+        case.trace, key.s, list(res.order), graph=case.graph, relax_reductions=True
     ).schedule
 
 

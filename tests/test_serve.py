@@ -433,6 +433,20 @@ class TestServeCli:
         out = capsys.readouterr().out
         assert "searches" in out and "mean cold search" in out
 
+    def test_query_rejects_zero_requests(self, tmp_path):
+        # --requests 0 used to crash with IndexError at the p50 line
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "query", "--store", str(tmp_path / "store"),
+                  "--requests", "0"])
+        assert exc.value.code == 2
+
+    def test_query_rejects_zero_batch(self, tmp_path):
+        # --batch 0 used to crash with ValueError from range()
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "query", "--store", str(tmp_path / "store"),
+                  "--requests", "4", "--batch", "0"])
+        assert exc.value.code == 2
+
 
 def test_loaded_schedule_replays(tmp_path, case):
     """End to end: serve → load → replay on a fresh machine, bit-identical."""
