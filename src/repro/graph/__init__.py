@@ -29,13 +29,7 @@ on: its antichains are exactly the op sets a multi-node schedule may run
 concurrently.
 """
 
-from .dependency import (
-    COMMUTING_ACCUMULATIONS,
-    DependencyGraph,
-    OpNode,
-    dependency_graph,
-    is_commuting_accumulation,
-)
+from .dependency import DependencyGraph, OpNode, dependency_graph
 from .policies import (
     BeladyReplayResult,
     access_sequence,
@@ -79,11 +73,9 @@ from .compare import (
 )
 
 __all__ = [
-    "COMMUTING_ACCUMULATIONS",
     "DependencyGraph",
     "OpNode",
     "dependency_graph",
-    "is_commuting_accumulation",
     "BeladyReplayResult",
     "access_sequence",
     "belady_replay",

@@ -12,14 +12,12 @@ reader state is tracked by interned integer element IDs, not per-key
 ``(matrix, flat)`` tuples, and each node's access sets come from one
 vectorized slice of the trace.
 
-Commuting accumulations get special treatment.  Every ``+=`` update op in
-this library (:class:`~repro.sched.ops.OuterColsUpdate`,
-:class:`~repro.sched.ops.TriangleUpdate`,
-:class:`~repro.sched.ops.TriangleCrossUpdate`,
-:class:`~repro.sched.ops.GemmOuterUpdate`) adds an input-independent
-contribution into its output region, so two such ops targeting overlapping
-elements commute *algebraically* — they form a reduction class, not a chain
-of hard WAW hazards.  The graph records the original accumulation order as
+Commuting accumulations get special treatment.  An op kind declares itself
+one with its ``commutes`` flag (:class:`~repro.sched.ops.ComputeOp`): a
+``+=`` update adding an input-independent contribution into its output
+region, so two such ops targeting overlapping elements commute
+*algebraically* — they form a reduction class, not a chain of hard WAW
+hazards.  The graph records the original accumulation order as
 ``"reduction"`` edges (a chain per element).  Kept, any topological order
 reproduces the original per-element summation order and therefore the
 original result bit for bit; dropped (``relax_reductions=True``), the legal
@@ -43,31 +41,10 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sched.ops import (
-    ComputeOp,
-    GemmOuterUpdate,
-    OuterColsUpdate,
-    TriangleCrossUpdate,
-    TriangleUpdate,
-)
+from ..sched.ops import ComputeOp
 from ..sched.schedule import Schedule
 from ..trace.compiled import CompiledTrace, compile_trace
 from ..utils.unionfind import DisjointSets
-
-#: Op types whose writes are pure ``+=`` accumulations of contributions that
-#: do not depend on the accumulator's current value.  Any two of these
-#: commute on shared output elements (up to FP reassociation).
-COMMUTING_ACCUMULATIONS: tuple[type, ...] = (
-    OuterColsUpdate,
-    TriangleUpdate,
-    TriangleCrossUpdate,
-    GemmOuterUpdate,
-)
-
-
-def is_commuting_accumulation(op: ComputeOp) -> bool:
-    """Is ``op`` a pure additive update (reorderable within its class)?"""
-    return isinstance(op, COMMUTING_ACCUMULATIONS)
 
 
 @dataclass
@@ -93,7 +70,7 @@ class OpNode:
 
     @property
     def is_accumulation(self) -> bool:
-        return is_commuting_accumulation(self.op)
+        return self.op.commutes
 
     def touched_keys(self) -> frozenset[int]:
         """All elements the op touches (inputs plus outputs)."""
@@ -129,8 +106,8 @@ class DependencyGraph:
         """Extract the dependence DAG from a compiled trace.
 
         The trace must still carry its op objects (``trace.ops``): replays
-        only need the arrays, but dependence analysis needs the op types to
-        classify commuting accumulations, and downstream rescheduling needs
+        only need the arrays, but dependence analysis needs each op's
+        ``commutes`` flag to classify accumulations, and downstream rescheduling needs
         the ops themselves.
         """
         if trace.ops is None:
@@ -147,7 +124,7 @@ class DependencyGraph:
             sl = ids[s:e]
             writes = np.unique(sl[flags[s:e]])
             reads = np.unique(ids[s : int(read_ends[i])])
-            if is_commuting_accumulation(op):
+            if op.commutes:
                 inputs = np.setdiff1d(reads, writes, assume_unique=True)
             else:
                 inputs = reads

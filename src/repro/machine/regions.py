@@ -12,6 +12,9 @@ region shapes the paper's schedules use:
   exactly what makes TBS work;
 * ``lower_tile_region`` — the at-or-below-diagonal part of a diagonal tile
   (used by OOC_SYRK/OOC_CHOL for tiles on the main diagonal);
+* ``lower_pairs`` — the pairs, flat indices and region behind both of the
+  above, computed once (the triangle and Cholesky ops keep the pairs for
+  their numerics);
 * ``column_segment_region`` / ``row_segment_region`` — the narrow streamed
   operands of the one-tile algorithms.
 
@@ -23,6 +26,7 @@ offers shape-aware wrappers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,6 +91,28 @@ def tile_region(matrix: str, rows, cols, ncols: int) -> Region:
     return _finalize(matrix, flat, assume_sorted=False if not sorted_ok else True)
 
 
+def lower_pairs(matrix: str, r: np.ndarray, ncols: int, *, diagonal: bool):
+    """The lower-triangle pairs of a sorted row set ``r``, computed once.
+
+    Returns ``(region, il, jl, flat)``: the local pairs ``il > jl`` of
+    ``tril_indices`` (``il >= jl`` with ``diagonal``), their row-major flat
+    indices ``r[il] * ncols + r[jl]`` and the region over those flats.  When
+    ``r`` is duplicate-free and ``r[-1] < ncols`` the pair order is already
+    strictly increasing, so ``region.flat`` is ``flat`` itself.
+    """
+    il, jl = _tril(r.size, 0 if diagonal else -1)
+    flat = r[il] * np.int64(ncols) + r[jl]
+    ordered = r.size == 0 or (is_strictly_increasing(r) and r[-1] < ncols)
+    return _finalize(matrix, flat, assume_sorted=ordered), il, jl, flat
+
+
+@lru_cache(maxsize=256)
+def _tril(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    il, jl = np.tril_indices(n, k=k)
+    il.flags.writeable = jl.flags.writeable = False
+    return il, jl
+
+
 def triangle_block_region(matrix: str, R, ncols: int) -> Region:
     """The triangle block ``TB(R)`` of Definition 3.5 as a region of ``matrix``.
 
@@ -95,17 +121,10 @@ def triangle_block_region(matrix: str, R, ncols: int) -> Region:
     may be any duplicate-free index collection (TBS uses one row per zone
     row, so ``R`` is scattered across the matrix).
     """
-    r = as_index_array(R)
-    r = np.sort(r)
-    if np.any(np.diff(r) == 0):
+    r = np.sort(as_index_array(R))
+    if not is_strictly_increasing(r):
         raise ValueError("triangle block row set R must be duplicate-free")
-    n = r.size
-    # tril_indices yields (i, j) with i > j for k=-1: subdiagonal pairs.
-    il, jl = np.tril_indices(n, k=-1)
-    rows = r[il]
-    cols = r[jl]
-    flat = _flat_from_pairs(rows, cols, ncols)
-    return _finalize(matrix, flat)
+    return lower_pairs(matrix, r, ncols, diagonal=False)[0]
 
 
 def lower_tile_region(matrix: str, rows, ncols: int, *, strict: bool = False) -> Region:
@@ -116,13 +135,7 @@ def lower_tile_region(matrix: str, rows, ncols: int, *, strict: bool = False) ->
     elements are referenced.
     """
     r = np.sort(as_index_array(rows))
-    n = r.size
-    k = -1 if strict else 0
-    il, jl = np.tril_indices(n, k=k)
-    rows_idx = r[il]
-    cols_idx = r[jl]
-    flat = _flat_from_pairs(rows_idx, cols_idx, ncols)
-    return _finalize(matrix, flat)
+    return lower_pairs(matrix, r, ncols, diagonal=not strict)[0]
 
 
 def column_segment_region(matrix: str, rows, col: int, ncols: int) -> Region:

@@ -10,6 +10,7 @@ produced the counts.
 """
 
 from .ops import (
+    OPS,
     ComputeOp,
     OuterColsUpdate,
     syrk_outer_update,
@@ -37,6 +38,7 @@ from .schedule import (
 from .validate import validate_schedule, schedule_footprint
 
 __all__ = [
+    "OPS",
     "ComputeOp",
     "OuterColsUpdate",
     "syrk_outer_update",

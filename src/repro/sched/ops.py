@@ -23,6 +23,14 @@ The op granularities match the paper's algorithms:
 * :class:`CholFactorResident` — in-place Cholesky of a fully resident
   diagonal tile (zero I/O, as in the model: resident work is free).
 
+Each op kind is one class here and nothing else: its ``name`` (the tag the
+schedule container writes), its ``params`` (the constructor arguments after
+the machine, in order — what :mod:`repro.trace.io` serializes), its
+``commutes`` flag (pure ``+=`` accumulations, which
+:mod:`repro.graph.dependency` may reorder) and the regions it stores once
+for :meth:`ComputeOp.reads` / :meth:`ComputeOp.writes`.  Defining a class
+with a ``name`` registers it in :data:`OPS`.
+
 Flop accounting follows the element-op convention so that blocked and
 element-level schedules report identical work: a multiply-add is 1 mult /
 2 flops, a division 1 mult / 1 flop, a square root 0 mults / 1 flop.
@@ -33,29 +41,83 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..kernels.flops import cholesky_flops, cholesky_mults, lu_flops, lu_mults
+from ..kernels.reference import cholesky_lower_in_place, lu_nopivot_in_place
 from ..machine.machine import TwoLevelMachine
-from ..machine.regions import Region
-from ..utils.intervals import as_index_array
+from ..machine.regions import Region, lower_pairs
+from ..utils.intervals import as_index_array, is_strictly_increasing
+
+#: ``name -> class`` of every op kind (filled as the classes are defined).
+OPS: dict[str, type["ComputeOp"]] = {}
 
 
 class ComputeOp:
-    """Base class: reads/writes declarations + numeric apply + work counts."""
+    """Base class: declared parameters and regions, numeric apply, work counts."""
 
     name: str = "compute"
+    #: constructor arguments after the machine, in order; index arrays among
+    #: them are ``np.ndarray`` attributes, the rest JSON scalars or names.
+    params: tuple[str, ...] = ()
+    #: a pure ``+=`` accumulation whose contribution does not read the
+    #: accumulator, so any two such ops commute on shared output elements
+    #: (up to FP reassociation).
+    commutes: bool = False
     mults: int = 0
     flops: int = 0
+    _reads: tuple[Region, ...] = ()
+    _writes: tuple[Region, ...] = ()
 
-    def reads(self) -> list[Region]:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "name" in vars(cls):
+            OPS[cls.name] = cls
 
-    def writes(self) -> list[Region]:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def reads(self) -> tuple[Region, ...]:
+        return self._reads
+
+    def writes(self) -> tuple[Region, ...]:
+        return self._writes
 
     def apply(self, m: TwoLevelMachine) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
-class OuterColsUpdate(ComputeOp):
+class _Accumulation(ComputeOp):
+    """``target += contribution`` of source regions; reads sources then target."""
+
+    commutes = True
+
+    def _accumulate(self, target: Region, *sources: Region) -> None:
+        # one Region object for the accumulator's read and write: the
+        # certifier folds the read into the write by identity
+        self._reads = (*sources, target)
+        self._writes = (target,)
+
+
+class _OuterUpdate(_Accumulation):
+    """``C[I, J] += sign * outer(A[I, ka], B[b_at])`` — the rank-1 tile update.
+
+    Subclasses pass where the streamed ``B`` vector lives (``b_at`` indexes
+    ``B``'s workspace) and its region.
+    """
+
+    def __init__(self, m, c, a, b, I, J, ka: int, sign: float, b_at, b_region: Region):
+        self.c, self.a, self.b = c, a, b
+        self.I = as_index_array(I)
+        self.J = as_index_array(J)
+        self.sign = float(sign)
+        self._a_at, self._b_at = (self.I, ka), b_at
+        self._accumulate(m.tile(c, self.I, self.J), m.column_segment(a, self.I, ka), b_region)
+        self.mults = int(self.I.size * self.J.size)
+        self.flops = 2 * self.mults
+
+    def apply(self, m: TwoLevelMachine) -> None:
+        u = m.workspace(self.a)[self._a_at]
+        v = m.workspace(self.b)[self._b_at]
+        m.workspace(self.c)[np.ix_(self.I, self.J)] += self.sign * np.outer(u, v)
+
+
+class OuterColsUpdate(_OuterUpdate):
     """``C[I, J] += sign * outer(A[I, ka], B[J, kb])``.
 
     Both streamed operands are *column* segments; ``A`` and ``B`` may be the
@@ -65,32 +127,12 @@ class OuterColsUpdate(ComputeOp):
     """
 
     name = "outer_cols"
+    params = ("c", "a", "b", "I", "J", "ka", "kb", "sign")
 
     def __init__(self, m: TwoLevelMachine, c: str, a: str, b: str, I, J, ka: int, kb: int, sign: float = 1.0):
-        self.c, self.a, self.b = c, a, b
-        self.I = as_index_array(I)
-        self.J = as_index_array(J)
         self.ka, self.kb = int(ka), int(kb)
-        self.sign = float(sign)
-        self._c_region = m.tile(c, self.I, self.J)
-        self._a_region = m.column_segment(a, self.I, self.ka)
-        self._b_region = m.column_segment(b, self.J, self.kb)
-        self.mults = int(self.I.size * self.J.size)
-        self.flops = 2 * self.mults
-
-    def reads(self) -> list[Region]:
-        return [self._a_region, self._b_region, self._c_region]
-
-    def writes(self) -> list[Region]:
-        return [self._c_region]
-
-    def apply(self, m: TwoLevelMachine) -> None:
-        cw = m.workspace(self.c)
-        aw = m.workspace(self.a)
-        bw = m.workspace(self.b)
-        u = aw[self.I, self.ka]
-        v = bw[self.J, self.kb]
-        cw[np.ix_(self.I, self.J)] += self.sign * np.outer(u, v)
+        J = as_index_array(J)
+        super().__init__(m, c, a, b, I, J, self.ka, sign, (J, self.kb), m.column_segment(b, J, self.kb))
 
 
 def syrk_outer_update(m: TwoLevelMachine, c: str, a: str, I, J, k: int, sign: float = 1.0) -> OuterColsUpdate:
@@ -98,7 +140,42 @@ def syrk_outer_update(m: TwoLevelMachine, c: str, a: str, I, J, k: int, sign: fl
     return OuterColsUpdate(m, c, a, a, I, J, k, k, sign)
 
 
-class TriangleUpdate(ComputeOp):
+class GemmOuterUpdate(_OuterUpdate):
+    """``C[I, J] += sign * outer(A[I, k], B[k, J])`` (row-segment second operand).
+
+    The inner step of the out-of-core LU baseline, where the trailing update
+    streams a column of ``L`` and a row of ``U``.
+    """
+
+    name = "gemm_outer"
+    params = ("c", "a", "b", "I", "J", "k", "sign")
+
+    def __init__(self, m: TwoLevelMachine, c: str, a: str, b: str, I, J, k: int, sign: float = 1.0):
+        self.k = int(k)
+        J = as_index_array(J)
+        super().__init__(m, c, a, b, I, J, self.k, sign, (self.k, J), m.row_segment(b, self.k, J))
+
+
+class _TriangleBlockUpdate(_Accumulation):
+    """``C`` over the lower pairs of a row set ``R``, one column-``k`` segment per source."""
+
+    def __init__(self, m, c, sources: tuple[str, ...], R, k: int, sign: float, include_diagonal: bool):
+        self.c = c
+        self.R = np.sort(as_index_array(R))
+        if not is_strictly_increasing(self.R):
+            raise ConfigurationError(f"{type(self).__name__} row set R must be duplicate-free")
+        self.k = int(k)
+        self.sign = float(sign)
+        self.include_diagonal = bool(include_diagonal)
+        target, self._il, self._jl, self._target_flat = lower_pairs(
+            c, self.R, m.ncols(c), diagonal=self.include_diagonal
+        )
+        self._accumulate(target, *(m.column_segment(s, self.R, self.k) for s in sources))
+        self.mults = len(sources) * int(self._il.size)
+        self.flops = 2 * self.mults
+
+
+class TriangleUpdate(_TriangleBlockUpdate):
     """Triangle-block update over a (possibly scattered) row set ``R``.
 
     ``C[r, r'] += sign * A[r, k] * A[r', k]`` for all pairs ``r > r'`` of
@@ -112,305 +189,19 @@ class TriangleUpdate(ComputeOp):
     """
 
     name = "triangle_update"
+    params = ("c", "a", "R", "k", "sign", "include_diagonal")
 
     def __init__(self, m: TwoLevelMachine, c: str, a: str, R, k: int, sign: float = 1.0, include_diagonal: bool = False):
-        self.c, self.a = c, a
-        self.R = np.sort(as_index_array(R))
-        if self.R.size >= 2 and np.any(np.diff(self.R) == 0):
-            raise ConfigurationError("TriangleUpdate row set R must be duplicate-free")
-        self.k = int(k)
-        self.sign = float(sign)
-        self.include_diagonal = bool(include_diagonal)
-        n = self.R.size
-        diag_k = 0 if include_diagonal else -1
-        il, jl = np.tril_indices(n, k=diag_k)
-        self._il, self._jl = il, jl
-        nc = m.ncols(c)
-        self._target_flat = self.R[il] * np.int64(nc) + self.R[jl]
-        if include_diagonal:
-            self._c_region = m.lower_tile(c, self.R, strict=False)
-        else:
-            self._c_region = m.triangle_block(c, self.R)
-        self._a_region = m.column_segment(a, self.R, self.k)
-        self.mults = int(il.size)
-        self.flops = 2 * self.mults
-
-    def reads(self) -> list[Region]:
-        return [self._a_region, self._c_region]
-
-    def writes(self) -> list[Region]:
-        return [self._c_region]
+        self.a = a
+        super().__init__(m, c, (a,), R, k, sign, include_diagonal)
 
     def apply(self, m: TwoLevelMachine) -> None:
-        cw = m.workspace(self.c)
-        aw = m.workspace(self.a)
-        v = aw[self.R, self.k]
+        v = m.workspace(self.a)[self.R, self.k]
         contrib = self.sign * v[self._il] * v[self._jl]
-        cw.ravel()[self._target_flat] += contrib
+        m.workspace(self.c).ravel()[self._target_flat] += contrib
 
 
-class GemmOuterUpdate(ComputeOp):
-    """``C[I, J] += sign * outer(A[I, k], B[k, J])`` (row-segment second operand).
-
-    The inner step of the out-of-core LU baseline, where the trailing update
-    streams a column of ``L`` and a row of ``U``.
-    """
-
-    name = "gemm_outer"
-
-    def __init__(self, m: TwoLevelMachine, c: str, a: str, b: str, I, J, k: int, sign: float = 1.0):
-        self.c, self.a, self.b = c, a, b
-        self.I = as_index_array(I)
-        self.J = as_index_array(J)
-        self.k = int(k)
-        self.sign = float(sign)
-        self._c_region = m.tile(c, self.I, self.J)
-        self._a_region = m.column_segment(a, self.I, self.k)
-        self._b_region = m.row_segment(b, self.k, self.J)
-        self.mults = int(self.I.size * self.J.size)
-        self.flops = 2 * self.mults
-
-    def reads(self) -> list[Region]:
-        return [self._a_region, self._b_region, self._c_region]
-
-    def writes(self) -> list[Region]:
-        return [self._c_region]
-
-    def apply(self, m: TwoLevelMachine) -> None:
-        cw = m.workspace(self.c)
-        aw = m.workspace(self.a)
-        bw = m.workspace(self.b)
-        u = aw[self.I, self.k]
-        v = bw[self.k, self.J]
-        cw[np.ix_(self.I, self.J)] += self.sign * np.outer(u, v)
-
-
-class TrsmSolveStep(ComputeOp):
-    """One column of the in-tile right-triangular solve ``X Lᵀ = X``.
-
-    With the tile ``X[I, Jcols]`` resident and its columns ``Jcols[:t]``
-    already solved, compute column ``t``::
-
-        X[I, J[t]] = (X[I, J[t]] - X[I, J[:t]] @ L[J[t], J[:t]]) / L[J[t], J[t]]
-
-    reading the streamed row segment ``L[J[t], J[:t+1]]``.  This is the
-    narrow-block trick of the one-tile OOC_TRSM / OOC_CHOL variants: the
-    triangular tile is never held whole, only one row at a time
-    (``s(s+1)/2`` extra traffic per tile — a lower-order term).
-    """
-
-    name = "trsm_solve_step"
-
-    def __init__(self, m: TwoLevelMachine, x: str, l: str, I, Jcols, t: int):
-        self.x, self.l = x, l
-        self.I = as_index_array(I)
-        self.Jcols = as_index_array(Jcols)
-        self.t = int(t)
-        if not (0 <= self.t < self.Jcols.size):
-            raise ConfigurationError(f"solve step t={t} out of range for {self.Jcols.size} columns")
-        self._x_read = m.tile(x, self.I, self.Jcols[: self.t + 1])
-        self._x_write = m.column_segment(x, self.I, int(self.Jcols[self.t]))
-        self._l_row = m.row_segment(l, int(self.Jcols[self.t]), self.Jcols[: self.t + 1])
-        # t multiply-adds per row for the dot product, plus one division.
-        self.mults = int(self.I.size * (self.t + 1))
-        self.flops = int(self.I.size * (2 * self.t + 1))
-
-    def reads(self) -> list[Region]:
-        return [self._x_read, self._l_row]
-
-    def writes(self) -> list[Region]:
-        return [self._x_write]
-
-    def apply(self, m: TwoLevelMachine) -> None:
-        xw = m.workspace(self.x)
-        lw = m.workspace(self.l)
-        jt = int(self.Jcols[self.t])
-        if self.t:
-            prev = self.Jcols[: self.t]
-            lrow = lw[jt, prev]
-            acc = xw[np.ix_(self.I, prev)] @ lrow
-            xw[self.I, jt] = (xw[self.I, jt] - acc) / lw[jt, jt]
-        else:
-            xw[self.I, jt] = xw[self.I, jt] / lw[jt, jt]
-
-
-# Canonical work-count definitions live in kernels.flops; re-exported here
-# because the resident-factor op credits them.
-from ..kernels.flops import cholesky_flops, cholesky_mults  # noqa: E402
-
-
-class CholFactorResident(ComputeOp):
-    """In-place Cholesky of the resident lower triangle of ``A[R, R]``.
-
-    The tile (including its diagonal) must be resident; the op gathers the
-    lower triangle, factors it with the library's reference kernel, and
-    scatters the factor back over the same elements.  It performs zero I/O —
-    resident work is free in the model — which is why OOC_CHOL's diagonal
-    factorizations contribute only lower-order traffic.
-    """
-
-    name = "chol_factor_resident"
-
-    def __init__(self, m: TwoLevelMachine, a: str, R):
-        self.a = a
-        self.R = np.sort(as_index_array(R))
-        n = self.R.size
-        il, jl = np.tril_indices(n)
-        self._il, self._jl = il, jl
-        nc = m.ncols(a)
-        self._flat = self.R[il] * np.int64(nc) + self.R[jl]
-        self._region = m.lower_tile(a, self.R, strict=False)
-        self.mults = cholesky_mults(n)
-        self.flops = cholesky_flops(n)
-
-    def reads(self) -> list[Region]:
-        return [self._region]
-
-    def writes(self) -> list[Region]:
-        return [self._region]
-
-    def apply(self, m: TwoLevelMachine) -> None:
-        from ..kernels.reference import cholesky_lower_in_place
-
-        aw = m.workspace(self.a)
-        n = self.R.size
-        tile = np.zeros((n, n), dtype=np.float64)
-        tile[self._il, self._jl] = aw.ravel()[self._flat]
-        cholesky_lower_in_place(tile)
-        aw.ravel()[self._flat] = tile[self._il, self._jl]
-
-
-class UpperSolveStep(ComputeOp):
-    """One column of the in-tile solve ``X U = X`` (``U`` upper triangular).
-
-    With the tile ``X[I, Jcols]`` resident and columns ``Jcols[:t]`` solved::
-
-        X[I, J[t]] = (X[I, J[t]] - X[I, J[:t]] @ U[J[:t], J[t]]) / U[J[t], J[t]]
-
-    streaming the *column* segment ``U[J[:t+1], J[t]]``.  Used by the
-    out-of-core LU baseline to scale sub-diagonal panels into ``L``.
-    """
-
-    name = "upper_solve_step"
-
-    def __init__(self, m: TwoLevelMachine, x: str, u: str, I, Jcols, t: int):
-        self.x, self.u = x, u
-        self.I = as_index_array(I)
-        self.Jcols = as_index_array(Jcols)
-        self.t = int(t)
-        if not (0 <= self.t < self.Jcols.size):
-            raise ConfigurationError(f"solve step t={t} out of range for {self.Jcols.size} columns")
-        self._x_read = m.tile(x, self.I, self.Jcols[: self.t + 1])
-        self._x_write = m.column_segment(x, self.I, int(self.Jcols[self.t]))
-        self._u_col = m.column_segment(u, self.Jcols[: self.t + 1], int(self.Jcols[self.t]))
-        self.mults = int(self.I.size * (self.t + 1))
-        self.flops = int(self.I.size * (2 * self.t + 1))
-
-    def reads(self) -> list[Region]:
-        return [self._x_read, self._u_col]
-
-    def writes(self) -> list[Region]:
-        return [self._x_write]
-
-    def apply(self, m: TwoLevelMachine) -> None:
-        xw = m.workspace(self.x)
-        uw = m.workspace(self.u)
-        jt = int(self.Jcols[self.t])
-        if self.t:
-            prev = self.Jcols[: self.t]
-            ucol = uw[prev, jt]
-            acc = xw[np.ix_(self.I, prev)] @ ucol
-            xw[self.I, jt] = (xw[self.I, jt] - acc) / uw[jt, jt]
-        else:
-            xw[self.I, jt] = xw[self.I, jt] / uw[jt, jt]
-
-
-class UnitLowerSolveStep(ComputeOp):
-    """One row of the in-tile solve ``L X = X`` (``L`` unit lower triangular).
-
-    With the tile ``X[Irows, J]`` resident and rows ``Irows[:t]`` solved::
-
-        X[I[t], J] = X[I[t], J] - L[I[t], I[:t]] @ X[I[:t], J]
-
-    streaming the row segment ``L[I[t], I[:t]]`` (the unit diagonal needs no
-    division and no load).  Used by the LU baseline's above-diagonal tiles.
-    """
-
-    name = "unit_lower_solve_step"
-
-    def __init__(self, m: TwoLevelMachine, x: str, l: str, Irows, J, t: int):
-        self.x, self.l = x, l
-        self.Irows = as_index_array(Irows)
-        self.J = as_index_array(J)
-        self.t = int(t)
-        if not (0 <= self.t < self.Irows.size):
-            raise ConfigurationError(f"solve step t={t} out of range for {self.Irows.size} rows")
-        self._x_read = m.tile(x, self.Irows[: self.t + 1], self.J)
-        self._x_write = m.row_segment(x, int(self.Irows[self.t]), self.J)
-        if self.t:
-            self._l_row = m.row_segment(l, int(self.Irows[self.t]), self.Irows[: self.t])
-        else:
-            self._l_row = None
-        self.mults = int(self.J.size * self.t)
-        self.flops = int(self.J.size * 2 * self.t)
-
-    def reads(self) -> list[Region]:
-        out = [self._x_read]
-        if self._l_row is not None:
-            out.append(self._l_row)
-        return out
-
-    def writes(self) -> list[Region]:
-        return [self._x_write]
-
-    def apply(self, m: TwoLevelMachine) -> None:
-        if not self.t:
-            return  # row 0 is already final (unit diagonal)
-        xw = m.workspace(self.x)
-        lw = m.workspace(self.l)
-        it = int(self.Irows[self.t])
-        prev = self.Irows[: self.t]
-        lrow = lw[it, prev]
-        xw[it, self.J] = xw[it, self.J] - lrow @ xw[np.ix_(prev, self.J)]
-
-
-class LuFactorResident(ComputeOp):
-    """In-place LU (no pivoting) of the fully resident square tile ``A[R, R]``.
-
-    Zero I/O, like :class:`CholFactorResident`; the tile afterwards holds
-    ``L`` strictly below the diagonal (unit diagonal implicit) and ``U`` on
-    and above it.
-    """
-
-    name = "lu_factor_resident"
-
-    def __init__(self, m: TwoLevelMachine, a: str, R):
-        from ..kernels.flops import lu_flops, lu_mults
-
-        self.a = a
-        self.R = np.sort(as_index_array(R))
-        self._region = m.tile(a, self.R, self.R)
-        n = self.R.size
-        self.mults = lu_mults(n)
-        self.flops = lu_flops(n)
-
-    def reads(self) -> list[Region]:
-        return [self._region]
-
-    def writes(self) -> list[Region]:
-        return [self._region]
-
-    def apply(self, m: TwoLevelMachine) -> None:
-        from ..kernels.reference import lu_nopivot_in_place
-
-        aw = m.workspace(self.a)
-        ix = np.ix_(self.R, self.R)
-        tile = aw[ix].copy()
-        lu_nopivot_in_place(tile)
-        aw[ix] = tile
-
-
-class TriangleCrossUpdate(ComputeOp):
+class TriangleCrossUpdate(_TriangleBlockUpdate):
     """Triangle-block SYR2K update over a row set ``R``.
 
     ``C[r, r'] += sign * (A[r, k] B[r', k] + B[r, k] A[r', k])`` for pairs
@@ -425,41 +216,193 @@ class TriangleCrossUpdate(ComputeOp):
     """
 
     name = "triangle_cross_update"
+    params = ("c", "a", "b", "R", "k", "sign", "include_diagonal")
 
     def __init__(self, m: TwoLevelMachine, c: str, a: str, b: str, R, k: int, sign: float = 1.0, include_diagonal: bool = False):
-        self.c, self.a, self.b = c, a, b
-        self.R = np.sort(as_index_array(R))
-        if self.R.size >= 2 and np.any(np.diff(self.R) == 0):
-            raise ConfigurationError("TriangleCrossUpdate row set R must be duplicate-free")
-        self.k = int(k)
-        self.sign = float(sign)
-        self.include_diagonal = bool(include_diagonal)
-        n = self.R.size
-        diag_k = 0 if include_diagonal else -1
-        il, jl = np.tril_indices(n, k=diag_k)
-        self._il, self._jl = il, jl
-        nc = m.ncols(c)
-        self._target_flat = self.R[il] * np.int64(nc) + self.R[jl]
-        if include_diagonal:
-            self._c_region = m.lower_tile(c, self.R, strict=False)
-        else:
-            self._c_region = m.triangle_block(c, self.R)
-        self._a_region = m.column_segment(a, self.R, self.k)
-        self._b_region = m.column_segment(b, self.R, self.k)
-        self.mults = 2 * int(il.size)
-        self.flops = 2 * self.mults
-
-    def reads(self) -> list[Region]:
-        return [self._a_region, self._b_region, self._c_region]
-
-    def writes(self) -> list[Region]:
-        return [self._c_region]
+        self.a, self.b = a, b
+        super().__init__(m, c, (a, b), R, k, sign, include_diagonal)
 
     def apply(self, m: TwoLevelMachine) -> None:
-        cw = m.workspace(self.c)
-        aw = m.workspace(self.a)
-        bw = m.workspace(self.b)
-        u = aw[self.R, self.k]
-        v = bw[self.R, self.k]
+        u = m.workspace(self.a)[self.R, self.k]
+        v = m.workspace(self.b)[self.R, self.k]
         contrib = self.sign * (u[self._il] * v[self._jl] + v[self._il] * u[self._jl])
-        cw.ravel()[self._target_flat] += contrib
+        m.workspace(self.c).ravel()[self._target_flat] += contrib
+
+
+class _ColumnSolveStep(ComputeOp):
+    """``X[I, J[t]] = (X[I, J[t]] - X[I, J[:t]] @ T[:-1]) / T[-1]`` for a streamed vector ``T``.
+
+    ``T`` holds the ``t + 1`` entries of the triangular matrix ``tri`` that
+    column ``J[t]`` depends on, diagonal last; subclasses say where it lies
+    (:meth:`_streamed`).  ``t`` multiply-adds per row for the dot product,
+    plus one division.
+    """
+
+    def __init__(self, m, x, tri, I, Jcols, t: int):
+        self.x, self._tri = x, tri
+        self.I = as_index_array(I)
+        self.Jcols = as_index_array(Jcols)
+        self.t = int(t)
+        if not (0 <= self.t < self.Jcols.size):
+            raise ConfigurationError(f"solve step t={t} out of range for {self.Jcols.size} columns")
+        jt, head = int(self.Jcols[self.t]), self.Jcols[: self.t + 1]
+        t_region, self._t_at = self._streamed(m, jt, head)
+        self._reads = (m.tile(x, self.I, head), t_region)
+        self._writes = (m.column_segment(x, self.I, jt),)
+        self.mults = int(self.I.size * (self.t + 1))
+        self.flops = int(self.I.size * (2 * self.t + 1))
+
+    def apply(self, m: TwoLevelMachine) -> None:
+        xw = m.workspace(self.x)
+        tvec = m.workspace(self._tri)[self._t_at]
+        jt = int(self.Jcols[self.t])
+        acc = xw[np.ix_(self.I, self.Jcols[: self.t])] @ tvec[:-1]
+        xw[self.I, jt] = (xw[self.I, jt] - acc) / tvec[-1]
+
+
+class TrsmSolveStep(_ColumnSolveStep):
+    """One column of the in-tile right-triangular solve ``X Lᵀ = X``.
+
+    With the tile ``X[I, Jcols]`` resident and its columns ``Jcols[:t]``
+    already solved, compute column ``t``::
+
+        X[I, J[t]] = (X[I, J[t]] - X[I, J[:t]] @ L[J[t], J[:t]]) / L[J[t], J[t]]
+
+    reading the streamed row segment ``L[J[t], J[:t+1]]``.  This is the
+    narrow-block trick of the one-tile OOC_TRSM / OOC_CHOL variants: the
+    triangular tile is never held whole, only one row at a time
+    (``s(s+1)/2`` extra traffic per tile — a lower-order term).
+    """
+
+    name = "trsm_solve_step"
+    params = ("x", "l", "I", "Jcols", "t")
+
+    def __init__(self, m: TwoLevelMachine, x: str, l: str, I, Jcols, t: int):
+        self.l = l
+        super().__init__(m, x, l, I, Jcols, t)
+
+    def _streamed(self, m, jt, head):
+        return m.row_segment(self.l, jt, head), (jt, head)
+
+
+class UpperSolveStep(_ColumnSolveStep):
+    """One column of the in-tile solve ``X U = X`` (``U`` upper triangular).
+
+    With the tile ``X[I, Jcols]`` resident and columns ``Jcols[:t]`` solved::
+
+        X[I, J[t]] = (X[I, J[t]] - X[I, J[:t]] @ U[J[:t], J[t]]) / U[J[t], J[t]]
+
+    streaming the *column* segment ``U[J[:t+1], J[t]]``.  Used by the
+    out-of-core LU baseline to scale sub-diagonal panels into ``L``.
+    """
+
+    name = "upper_solve_step"
+    params = ("x", "u", "I", "Jcols", "t")
+
+    def __init__(self, m: TwoLevelMachine, x: str, u: str, I, Jcols, t: int):
+        self.u = u
+        super().__init__(m, x, u, I, Jcols, t)
+
+    def _streamed(self, m, jt, head):
+        return m.column_segment(self.u, head, jt), (head, jt)
+
+
+class UnitLowerSolveStep(ComputeOp):
+    """One row of the in-tile solve ``L X = X`` (``L`` unit lower triangular).
+
+    With the tile ``X[Irows, J]`` resident and rows ``Irows[:t]`` solved::
+
+        X[I[t], J] = X[I[t], J] - L[I[t], I[:t]] @ X[I[:t], J]
+
+    streaming the row segment ``L[I[t], I[:t]]`` (the unit diagonal needs no
+    division and no load).  Used by the LU baseline's above-diagonal tiles.
+    """
+
+    name = "unit_lower_solve_step"
+    params = ("x", "l", "Irows", "J", "t")
+
+    def __init__(self, m: TwoLevelMachine, x: str, l: str, Irows, J, t: int):
+        self.x, self.l = x, l
+        self.Irows = as_index_array(Irows)
+        self.J = as_index_array(J)
+        self.t = int(t)
+        if not (0 <= self.t < self.Irows.size):
+            raise ConfigurationError(f"solve step t={t} out of range for {self.Irows.size} rows")
+        it, prev = int(self.Irows[self.t]), self.Irows[: self.t]
+        # row 0 is already final (unit diagonal): it streams no L entries
+        l_row = (m.row_segment(l, it, prev),) if self.t else ()
+        self._reads = (m.tile(x, self.Irows[: self.t + 1], self.J), *l_row)
+        self._writes = (m.row_segment(x, it, self.J),)
+        self.mults = int(self.J.size * self.t)
+        self.flops = int(self.J.size * 2 * self.t)
+
+    def apply(self, m: TwoLevelMachine) -> None:
+        if not self.t:
+            return
+        xw = m.workspace(self.x)
+        it = int(self.Irows[self.t])
+        prev = self.Irows[: self.t]
+        lrow = m.workspace(self.l)[it, prev]
+        xw[it, self.J] = xw[it, self.J] - lrow @ xw[np.ix_(prev, self.J)]
+
+
+class _ResidentFactor(ComputeOp):
+    """In-place factorization of resident elements of the tile ``A[R, R]``.
+
+    Gathers the tile entries ``(il, jl)`` that :meth:`_elements` names,
+    factors them with ``kernel`` and scatters the result back over the same
+    elements.  Zero I/O — resident work is free in the model.
+    """
+
+    params = ("a", "R")
+
+    def __init__(self, m, a: str, R):
+        self.a = a
+        self.R = np.sort(as_index_array(R))
+        region, self._il, self._jl, self._flat = self._elements(m)
+        self._reads = self._writes = (region,)
+        self.mults, self.flops = (count(self.R.size) for count in self.work)
+
+    def apply(self, m: TwoLevelMachine) -> None:
+        flat_ws = m.workspace(self.a).ravel()
+        n = self.R.size
+        tile = np.zeros((n, n), dtype=np.float64)
+        tile[self._il, self._jl] = flat_ws[self._flat]
+        self.kernel(tile)
+        flat_ws[self._flat] = tile[self._il, self._jl]
+
+
+class CholFactorResident(_ResidentFactor):
+    """In-place Cholesky of the resident lower triangle of ``A[R, R]``.
+
+    The tile (including its diagonal) must be resident; the op gathers the
+    lower triangle, factors it with the library's reference kernel, and
+    scatters the factor back over the same elements.  It performs zero I/O —
+    resident work is free in the model — which is why OOC_CHOL's diagonal
+    factorizations contribute only lower-order traffic.
+    """
+
+    name = "chol_factor_resident"
+    kernel = staticmethod(cholesky_lower_in_place)
+    work = (cholesky_mults, cholesky_flops)
+
+    def _elements(self, m):
+        return lower_pairs(self.a, self.R, m.ncols(self.a), diagonal=True)
+
+
+class LuFactorResident(_ResidentFactor):
+    """In-place LU (no pivoting) of the fully resident square tile ``A[R, R]``.
+
+    Zero I/O, like :class:`CholFactorResident`; the tile afterwards holds
+    ``L`` strictly below the diagonal (unit diagonal implicit) and ``U`` on
+    and above it.
+    """
+
+    name = "lu_factor_resident"
+    kernel = staticmethod(lu_nopivot_in_place)
+    work = (lu_mults, lu_flops)
+
+    def _elements(self, m):
+        il, jl = np.divmod(np.arange(self.R.size**2), self.R.size)
+        flat = self.R[il] * np.int64(m.ncols(self.a)) + self.R[jl]
+        return m.tile(self.a, self.R, self.R), il, jl, flat

@@ -14,11 +14,20 @@ Two kinds:
     but op objects are gone — ``ops`` is ``None`` after loading.
 ``schedule``
     a full :class:`~repro.sched.schedule.Schedule`: every load/evict step
-    with its region, every compute step as the op class name plus its
-    constructor parameters (index arrays packed into one shared int64
-    payload).  Loading reconstructs real op objects against a shape-only
-    machine, so a loaded schedule replays to bit-identical numerics —
-    recorded runs can be shipped to workers or cached between sweeps.
+    with its region, every compute step as the op's ``name`` plus the
+    values of its declared ``params`` (:mod:`repro.sched.ops`; index arrays
+    are packed into one shared int64 payload, the rest go into the JSON
+    record).  Loading looks the kind up in :data:`~repro.sched.ops.OPS` and
+    reconstructs real op objects against a shape-only machine, so a loaded
+    schedule replays to bit-identical numerics — recorded runs can be
+    shipped to workers or cached between sweeps.
+
+Loading checks what it reads: a trace's array lengths must match its
+header and its ids and offsets must be in range; a schedule's index spans
+must lie inside the payload and every region must be sorted, duplicate-free
+and inside its matrix.  A container that fails raises
+:class:`~repro.errors.ConfigurationError` instead of loading a wrong stream
+(or crashing a later consumer).
 """
 
 from __future__ import annotations
@@ -33,40 +42,11 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..machine.machine import TwoLevelMachine
 from ..machine.regions import Region
-from ..sched.ops import (
-    CholFactorResident,
-    ComputeOp,
-    GemmOuterUpdate,
-    LuFactorResident,
-    OuterColsUpdate,
-    TriangleCrossUpdate,
-    TriangleUpdate,
-    TrsmSolveStep,
-    UnitLowerSolveStep,
-    UpperSolveStep,
-)
+from ..sched.ops import OPS, ComputeOp
 from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule, Step
 from .compiled import CompiledTrace
 
 FORMAT_VERSION = 1
-
-#: op class -> (string fields, index-array fields, scalar fields).  Scalar
-#: fields round-trip through JSON (ints, floats, bools); index arrays are
-#: packed into the shared ``index_data`` payload.  Field names equal both
-#: the attribute and the constructor-keyword names.
-_OP_SPECS: dict[type, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
-    OuterColsUpdate: (("c", "a", "b"), ("I", "J"), ("ka", "kb", "sign")),
-    TriangleUpdate: (("c", "a"), ("R",), ("k", "sign", "include_diagonal")),
-    TriangleCrossUpdate: (("c", "a", "b"), ("R",), ("k", "sign", "include_diagonal")),
-    GemmOuterUpdate: (("c", "a", "b"), ("I", "J"), ("k", "sign")),
-    TrsmSolveStep: (("x", "l"), ("I", "Jcols"), ("t",)),
-    UpperSolveStep: (("x", "u"), ("I", "Jcols"), ("t",)),
-    UnitLowerSolveStep: (("x", "l"), ("Irows", "J"), ("t",)),
-    CholFactorResident: (("a",), ("R",), ()),
-    LuFactorResident: (("a",), ("R",), ()),
-}
-_OP_BY_NAME = {cls.name: cls for cls in _OP_SPECS}
-
 
 def _write_npz(path: str | os.PathLike | IO[bytes], header: dict, arrays: dict) -> None:
     payload = dict(header=np.asarray(json.dumps(header)), **arrays)
@@ -156,40 +136,70 @@ def load_trace(path: str | os.PathLike | IO[bytes]) -> CompiledTrace:
     """Load a trace written by :func:`save_trace` (``ops`` is ``None``)."""
     header, npz = _read_npz(path, "trace")
     n = int(header["n_accesses"])
+    n_ops, n_elements = int(header["n_ops"]), int(header["n_elements"])
+    matrices = tuple(header["matrices"])
+    lengths = {
+        "elem_ids": n,
+        "is_write": (n + 7) // 8,
+        "op_starts": n_ops + 1,
+        "op_read_ends": n_ops,
+        "key_matrix": n_elements,
+        "key_flat": n_elements,
+    }
+    for name, length in lengths.items():
+        if np.shape(npz.get(name)) != (length,):
+            raise ConfigurationError(
+                f"{path}: {name} has shape {np.shape(npz.get(name))}, "
+                f"header says ({length},)"
+            )
+    ids, starts, ends = npz["elem_ids"], npz["op_starts"], npz["op_read_ends"]
+    key_matrix = npz["key_matrix"]
+    if not (
+        _within(ids, n_elements)
+        and _within(key_matrix, len(matrices))
+        and starts[0] == 0
+        and starts[-1] == n
+        and np.all(starts[:-1] <= ends)
+        and np.all(ends <= starts[1:])
+    ):
+        raise ConfigurationError(f"{path}: element ids or op offsets out of range")
     return CompiledTrace(
-        matrices=tuple(header["matrices"]),
+        matrices=matrices,
         shapes={name: (int(r), int(c)) for name, (r, c) in header["shapes"].items()},
-        elem_ids=npz["elem_ids"],
+        elem_ids=ids,
         is_write=np.unpackbits(npz["is_write"], count=n).astype(bool),
-        op_starts=npz["op_starts"],
-        op_read_ends=npz["op_read_ends"],
-        key_matrix=npz["key_matrix"],
+        op_starts=starts,
+        op_read_ends=ends,
+        key_matrix=key_matrix,
         key_flat=npz["key_flat"],
         ops=None,
     )
+
+
+def _within(values: np.ndarray, bound: int) -> bool:
+    """All ``values`` lie in ``[0, bound)``."""
+    return not values.size or bool(values.min() >= 0 and values.max() < bound)
 
 
 # ---------------------------------------------------------------------- #
 # full schedules
 # ---------------------------------------------------------------------- #
 def _op_record(op: ComputeOp, chunks: list[np.ndarray], offset: int) -> tuple[dict, int]:
-    spec = _OP_SPECS.get(type(op))
-    if spec is None:
+    if OPS.get(op.name) is not type(op):
         raise ConfigurationError(
             f"cannot serialize compute op of type {type(op).__name__}"
         )
-    strs, arrays, scalars = spec
-    params: dict[str, Any] = {f: getattr(op, f) for f in strs}
-    for f in scalars:
-        value = getattr(op, f)
-        params[f] = bool(value) if isinstance(value, bool) else value
+    params: dict[str, Any] = {}
     spans = {}
-    for f in arrays:
-        arr = np.asarray(getattr(op, f), dtype=np.int64).ravel()
-        chunks.append(arr)
-        spans[f] = [offset, offset + int(arr.size)]
-        offset += int(arr.size)
-    return {"t": "C", "op": type(op).name, "p": params, "i": spans}, offset
+    for f in op.params:
+        value = getattr(op, f)
+        if isinstance(value, np.ndarray):
+            chunks.append(value)
+            spans[f] = [offset, offset + int(value.size)]
+            offset += int(value.size)
+        else:
+            params[f] = value
+    return {"t": "C", "op": op.name, "p": params, "i": spans}, offset
 
 
 def save_schedule(schedule: Schedule, path: str | os.PathLike | IO[bytes]) -> None:
@@ -244,26 +254,70 @@ def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
     """
     header, npz = _read_npz(path, "schedule")
     shapes = {name: (int(r), int(c)) for name, (r, c) in header["shapes"].items()}
+    sizes = {name: rows * cols for name, (rows, cols) in shapes.items()}
     index_data = npz["index_data"]
+    if index_data.ndim != 1 or index_data.dtype != np.int64:
+        raise ConfigurationError(f"{path}: index payload is not a 1-D int64 array")
+
+    def span(bounds) -> tuple[int, int]:
+        start, end = bounds
+        if not (type(start) is type(end) is int and 0 <= start <= end <= index_data.size):
+            raise ConfigurationError(
+                f"{path}: index span {start}:{end} outside the "
+                f"{index_data.size}-entry payload"
+            )
+        return start, end
+
     m = _shape_machine(shapes)
     steps: list[Step] = []
+    slices: list[tuple[int, int]] = []  # load/evict regions, checked below
     for rec in header["steps"]:
         kind = rec["t"]
         if kind in ("L", "E"):
-            start, end = rec["i"]
+            start, end = span(rec["i"])
+            slices.append((start, end))
             region = Region(rec["m"], index_data[start:end])
-            if kind == "L":
-                steps.append(LoadStep(region))
-            else:
-                steps.append(EvictStep(region, writeback=bool(rec["wb"])))
+            step: Step = LoadStep(region) if kind == "L" else EvictStep(region, writeback=bool(rec["wb"]))
+            regions: tuple[Region, ...] = (region,)
         elif kind == "C":
-            cls = _OP_BY_NAME.get(rec["op"])
+            cls = OPS.get(rec["op"])
             if cls is None:
                 raise ConfigurationError(f"unknown compute op {rec['op']!r}")
             params = dict(rec["p"])
-            for f, (start, end) in rec["i"].items():
+            for f, bounds in rec["i"].items():
+                start, end = span(bounds)
                 params[f] = index_data[start:end]
-            steps.append(ComputeStep(cls(m, **params)))
+            try:
+                op = cls(m, **params)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"{path}: cannot rebuild {rec['op']!r}: {exc}"
+                ) from exc
+            step = ComputeStep(op)
+            # op constructors emit sorted, duplicate-free regions
+            regions = (*op.reads(), *op.writes())
         else:
             raise ConfigurationError(f"unknown step record {kind!r}")
+        for region in regions:
+            flat = region.flat
+            if flat.size and (flat[0] < 0 or flat[-1] >= sizes.get(region.matrix, 0)):
+                raise ConfigurationError(
+                    f"{path}: a region of {region.matrix!r} lies outside the matrix"
+                )
+        steps.append(step)
+    if not _strictly_increasing_slices(index_data, slices):
+        raise ConfigurationError(
+            f"{path}: a load/evict region is unsorted or has duplicates"
+        )
     return Schedule(steps=steps, shapes=shapes)
+
+
+def _strictly_increasing_slices(data: np.ndarray, slices: list[tuple[int, int]]) -> bool:
+    """Is every ``data[start:end]`` strictly increasing?  One pass over ``data``."""
+    if not slices:
+        return True
+    start, end = np.asarray(slices, dtype=np.int64).T
+    # drops[i]: non-increasing neighbour pairs (j, j+1) with j < i
+    drops = np.concatenate(([0], np.cumsum(data[1:] <= data[:-1])))
+    keep = end > start
+    return np.array_equal(drops[end[keep] - 1], drops[start[keep]])

@@ -84,4 +84,4 @@ def as_index_array(x) -> np.ndarray:
 def is_strictly_increasing(arr: np.ndarray) -> bool:
     """True iff the 1-D array is strictly increasing (thus duplicate-free)."""
     arr = np.asarray(arr)
-    return bool(np.all(np.diff(arr) > 0)) if arr.size > 1 else True
+    return arr.size < 2 or bool((arr[1:] > arr[:-1]).all())
